@@ -8,9 +8,7 @@ flags and seed; diagnostics go to stderr, never into data files.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import sys
 import warnings
@@ -20,11 +18,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .community import ALGORITHMS, fastgreedy, walktrap
+from .community import ALGORITHMS, derived_seed, fastgreedy, walktrap
 from .compare import rand_index, random_partition
 from .graphs import Partition, build_bipartite, project
 from .ingest import (
     Dataset,
+    csv_text,
     dataset_summary,
     filter_dataset,
     parse_records,
@@ -53,12 +52,6 @@ KIND_LABEL = {"like": "likes", "comment": "comments"}
 DV_ACTION = {"posts": "post", "likes": "like", "comments": "comment"}
 
 
-def derived_seed(seed: int, *parts) -> int:
-    """Deterministic per-operation seed from (global seed, names)."""
-    text = ":".join([str(seed)] + [str(p) for p in parts])
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -73,12 +66,11 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_manifest(out: Path, subcommand: str, args: argparse.Namespace,
-                    inputs: list[Path]) -> None:
+def _write_manifest(out: Path, args: argparse.Namespace, inputs: list[Path]) -> None:
     flags = {k: (str(v) if isinstance(v, Path) else v)
              for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "seed": args.seed,
         "flags": flags,
         "versions": {
@@ -98,29 +90,31 @@ def _out_path(args, name: str) -> Path:
     return p if p.is_absolute() else Path(args.out_dir) / p
 
 
-def _load_dataset(args) -> tuple[Dataset, Path]:
-    path = _out_path(args, args.infile)
-    with open(path, "r", encoding="utf-8") as fh:
-        d = parse_records(fh, format=getattr(args, "format", "jsonl"),
-                          strict=getattr(args, "strict", True))
-    if d.skipped_lines:
-        print(f"warning: skipped {d.skipped_lines} malformed lines", file=sys.stderr)
-    return d, path
+def _run(args) -> None:
+    """Run one subcommand: load its inputs, build its outputs, write them all.
 
-
-def _load_labels(args) -> tuple[dict[str, str], Path]:
-    path = _out_path(args, args.labels)
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_labels(fh), path
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    Subcommands with ``--in`` get the parsed Dataset and those with
+    ``--labels`` the label map, in that order. The body returns
+    ``{output name: text}`` before anything is written; the manifest goes
+    next to ``--out`` and lists the inputs read.
+    """
+    inputs, loaded = [], []
+    if hasattr(args, "infile"):
+        inputs.append(_out_path(args, args.infile))
+        with open(inputs[-1], "r", encoding="utf-8") as fh:
+            d = parse_records(fh, format=getattr(args, "format", "jsonl"),
+                              strict=getattr(args, "strict", True))
+        if d.skipped_lines:
+            print(f"warning: skipped {d.skipped_lines} malformed lines", file=sys.stderr)
+        loaded.append(d)
+    if hasattr(args, "labels"):
+        inputs.append(_out_path(args, args.labels))
+        with open(inputs[-1], "r", encoding="utf-8") as fh:
+            loaded.append(read_labels(fh))
+    outputs = args.func(args, *loaded)
+    for name, text in outputs.items():
+        _write_text(_out_path(args, name), text)
+    _write_manifest(_out_path(args, args.out), args, inputs)
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -131,7 +125,7 @@ def _pair(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict[str, str]:
     kind, _, params = args.actions.partition(":")
     if kind == "fixed":
         actions = ("fixed", int(params))
@@ -157,46 +151,28 @@ def cmd_synth(args) -> int:
         sub_blocks=sub_blocks,
     )
     dataset, truth, labels = generate(config)
-    out = _out_path(args, args.out)
-    _write_text(out, serialize_records(dataset))
-    _write_text(_out_path(args, args.truth), write_labels(labels))
+    outputs = {args.out: serialize_records(dataset), args.truth: write_labels(labels)}
     if args.user_truth:
-        _write_text(_out_path(args, args.user_truth), write_labels(truth.user_side))
-    _write_manifest(out, "synth", args, [])
-    return 0
+        outputs[args.user_truth] = write_labels(truth.user_side)
+    return outputs
 
 
-def cmd_ingest(args) -> int:
-    d, inpath = _load_dataset(args)
+def cmd_ingest(args, d: Dataset) -> dict[str, str]:
     filtered = filter_dataset(d, min_posts=args.min_posts,
                               date_range=(parse_date(args.date_from),
                                           parse_date(args.date_to)))
-    out = _out_path(args, args.out)
-    _write_text(out, serialize_records(filtered))
-    _write_manifest(out, "ingest", args, [inpath])
-    return 0
+    return {args.out: serialize_records(filtered)}
 
 
-def cmd_summary(args) -> int:
-    d, inpath = _load_dataset(args)
-    labels, lpath = _load_labels(args)
-    out = _out_path(args, args.out)
-    _write_text(out, dataset_summary(d, labels).to_csv())
-    _write_manifest(out, "summary", args, [inpath, lpath])
-    return 0
+def cmd_summary(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+    return {args.out: dataset_summary(d, labels).to_csv()}
 
 
-def cmd_project(args) -> int:
-    d, inpath = _load_dataset(args)
-    g = project(build_bipartite(d, args.action))
-    out = _out_path(args, args.out)
-    _write_text(out, g.to_csv())
-    _write_manifest(out, "project", args, [inpath])
-    return 0
+def cmd_project(args, d: Dataset) -> dict[str, str]:
+    return {args.out: project(build_bipartite(d, args.action)).to_csv()}
 
 
-def cmd_detect(args) -> int:
-    d, inpath = _load_dataset(args)
+def cmd_detect(args, d: Dataset) -> dict[str, str]:
     g = project(build_bipartite(d, args.action))
     dendro = None
     if args.algorithm == "fastgreedy":
@@ -206,14 +182,12 @@ def cmd_detect(args) -> int:
     else:
         part = ALGORITHMS[args.algorithm](
             g, derived_seed(args.seed, "detect", args.algorithm))
-    out = _out_path(args, args.out)
-    _write_text(out, part.to_csv())
+    outputs = {args.out: part.to_csv()}
     if args.dendrogram:
         if dendro is None:
             raise ValueError(f"{args.algorithm} does not produce a dendrogram")
-        _write_text(_out_path(args, args.dendrogram), dendro.to_csv())
-    _write_manifest(out, "detect", args, [inpath])
-    return 0
+        outputs[args.dendrogram] = dendro.to_csv()
+    return outputs
 
 
 def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
@@ -273,17 +247,12 @@ def validation_matrix_csv(matrix: dict) -> str:
             continue
         for row_name in ("random", "labeled", "fastgreedy"):
             rows.append([kind, row_name] + [matrix[kind][row_name][c] for c in cols])
-    return _csv_text(["graph", "communities"] + cols, rows)
+    return csv_text(["graph", "communities"] + cols, rows)
 
 
-def cmd_validate(args) -> int:
-    d, inpath = _load_dataset(args)
-    labels, lpath = _load_labels(args)
+def cmd_validate(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     matrix = run_validation_matrix(d, labels, args.seed, draws=args.draws)
-    out = _out_path(args, args.out)
-    _write_text(out, validation_matrix_csv(matrix))
-    _write_manifest(out, "validate", args, [inpath, lpath])
-    return 0
+    return {args.out: validation_matrix_csv(matrix)}
 
 
 def _side_map(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
@@ -294,28 +263,21 @@ def _side_map(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     return two_largest_sides(part)
 
 
-def cmd_polarize(args) -> int:
-    d, inpath = _load_dataset(args)
-    labels, lpath = _load_labels(args)
+def cmd_polarize(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     sides = _side_map(args, d, labels)
     profiles = user_polarization(d, sides, action=args.action,
                                  min_actions=args.min_actions)
     hist = polarization_histogram(profiles, bins=args.bins)
     rows = [(hist.edges[i], hist.edges[i + 1], hist.densities[i])
             for i in range(len(hist.densities))]
-    out = _out_path(args, args.out)
-    _write_text(out, _csv_text(["bin_left", "bin_right", "density"], rows))
+    outputs = {args.out: csv_text(["bin_left", "bin_right", "density"], rows)}
     if args.profiles:
-        prows = [(p.user, p.x, p.y, p.rho) for p in profiles]
-        _write_text(_out_path(args, args.profiles),
-                    _csv_text(["user", "x", "y", "rho"], prows))
-    _write_manifest(out, "polarize", args, [inpath, lpath])
-    return 0
+        outputs[args.profiles] = csv_text(["user", "x", "y", "rho"],
+                                          [(p.user, p.x, p.y, p.rho) for p in profiles])
+    return outputs
 
 
-def cmd_exposure(args) -> int:
-    d, inpath = _load_dataset(args)
-    labels, lpath = _load_labels(args)
+def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     engagement = user_engagement(d, labels)
     by_side: dict[str, list] = {}
     for e in engagement:
@@ -338,49 +300,32 @@ def cmd_exposure(args) -> int:
             for i in range(len(grid)):
                 rows.append((side, measure, float(grid[i]), float(fit[i]),
                              float(lo95[i]), float(hi95[i])))
-    out = _out_path(args, args.out)
-    _write_text(out, _csv_text(["community", "measure", "x", "fit", "lo95", "hi95"],
-                               rows))
-    _write_manifest(out, "exposure", args, [inpath, lpath])
-    return 0
+    return {args.out: csv_text(["community", "measure", "x", "fit", "lo95", "hi95"],
+                               rows)}
 
 
-def cmd_timeline(args) -> int:
-    d, inpath = _load_dataset(args)
-    labels, lpath = _load_labels(args)
-    series = activity_series(d, labels)
+def cmd_timeline(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     rows = [(quarter_label(s.quarter), s.community, s.measure, s.count)
-            for s in series]
-    out = _out_path(args, args.out)
-    _write_text(out, _csv_text(["quarter", "community", "measure", "count"], rows))
-    _write_manifest(out, "timeline", args, [inpath, lpath])
-    return 0
+            for s in activity_series(d, labels)]
+    return {args.out: csv_text(["quarter", "community", "measure", "count"], rows)}
 
 
-def cmd_cohesion(args) -> int:
-    d, inpath = _load_dataset(args)
-    labels, lpath = _load_labels(args)
+def cmd_cohesion(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     algos = tuple(ALGORITHMS) if args.algorithms == "all" else \
         tuple(a.strip() for a in args.algorithms.split(","))
     points = cohesion_series(d, labels, action=args.action, algorithms=algos,
                              seed=args.seed, cumulative=args.cumulative)
-    for pt in points:
-        if pt.flags:
-            print(f"warning: degenerate quarter {quarter_label(pt.quarter)} "
-                  f"for {pt.community}", file=sys.stderr)
-            break
+    # one warning per degenerate (quarter, community), not one per algorithm
+    for q, side in dict.fromkeys((p.quarter, p.community) for p in points if p.flags):
+        print(f"warning: degenerate quarter {quarter_label(q)} for {side}",
+              file=sys.stderr)
     rows = [(quarter_label(p.quarter), p.community, p.algorithm, p.largest, p.total)
             for p in points]
-    out = _out_path(args, args.out)
-    _write_text(out, _csv_text(["quarter", "community", "algorithm", "largest",
-                                "total"], rows))
-    _write_manifest(out, "cohesion", args, [inpath, lpath])
-    return 0
+    return {args.out: csv_text(["quarter", "community", "algorithm", "largest",
+                                "total"], rows)}
 
 
-def cmd_anova(args) -> int:
-    d, inpath = _load_dataset(args)
-    labels, lpath = _load_labels(args)
+def cmd_anova(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     dvs = [v.strip() for v in args.dv.split(",")]
     for dv in dvs:
         if dv not in DV_ACTION:
@@ -407,13 +352,17 @@ def cmd_anova(args) -> int:
     else:
         res = manova_pillai(obs)
         rows.append((res.term, res.F, res.df1, res.df2, res.p, res.partial_eta2))
-    out = _out_path(args, args.out)
-    _write_text(out, _csv_text(["term", "F", "df1", "df2", "p", "partial_eta2"], rows))
-    _write_manifest(out, "anova", args, [inpath, lpath])
-    return 0
+    return {args.out: csv_text(["term", "F", "df1", "df2", "p", "partial_eta2"], rows)}
 
 
 # --------------------------------------------------------------------- parser
+
+
+def _parent(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A help-less parser holding one option, shared by several subcommands."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*flags, **kwargs)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,14 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=1,
                         help="worker cap (results never depend on it)")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
+    common.add_argument("--out", required=True)
+    infile = _parent("--in", dest="infile", required=True)
+    labels = _parent("--labels", required=True)
+    action = _parent("--action", choices=("like", "comment"), default="like")
 
     parser = argparse.ArgumentParser(
         prog="echonet",
         description="polarized user-page interaction network analytics")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a planted-polarization dataset")
+    def add(name, func, *parents, help):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = add("synth", cmd_synth, help="generate a planted-polarization dataset")
     p.add_argument("--users", type=_pair, default=(5000, 5000), metavar="PRO,ANTI")
     p.add_argument("--pages", type=_pair, default=(145, 98), metavar="PRO,ANTI")
     p.add_argument("--p-out", dest="p_out", type=float, default=0.02)
@@ -443,14 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pro-blocks", default=None, metavar="N1,N2,...",
                    help="user-disjoint page blocks on the pro side")
     p.add_argument("--anti-blocks", default=None, metavar="N1,N2,...")
-    p.add_argument("--out", required=True)
     p.add_argument("--truth", required=True, help="page label CSV output")
     p.add_argument("--user-truth", default=None)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="parse, filter and canonicalize an interaction log")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("ingest", cmd_ingest, infile,
+            help="parse, filter and canonicalize an interaction log")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--min-posts", type=int, default=10)
     p.add_argument("--from", dest="date_from", default="2010-01-01")
@@ -459,91 +413,48 @@ def build_parser() -> argparse.ArgumentParser:
     strictness.add_argument("--strict", dest="strict", action="store_true",
                             default=True)
     strictness.add_argument("--lenient", dest="strict", action="store_false")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("summary", parents=[common],
-                       help="per-label dataset description table")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_summary)
+    add("summary", cmd_summary, infile, labels, help="per-label dataset description table")
+    add("project", cmd_project, infile, action, help="weighted one-mode page projection")
 
-    p = sub.add_parser("project", parents=[common],
-                       help="weighted one-mode page projection")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--action", choices=("like", "comment"), default="like")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("detect", parents=[common], help="community detection")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--action", choices=("like", "comment"), default="like")
+    p = add("detect", cmd_detect, infile, action, help="community detection")
     p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="fastgreedy")
     p.add_argument("--steps", type=int, default=4, help="walk length for walktrap")
-    p.add_argument("--out", required=True)
     p.add_argument("--dendrogram", default=None)
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="partition-similarity validation matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
+    p = add("validate", cmd_validate, infile, labels,
+            help="partition-similarity validation matrix")
     p.add_argument("--draws", type=int, default=100,
                    help="random partitions averaged in the random row")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("polarize", parents=[common],
-                       help="per-user polarization density")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
+    p = add("polarize", cmd_polarize, infile, labels, action,
+            help="per-user polarization density")
     p.add_argument("--sides", choices=("labels", "detected"), default="labels")
-    p.add_argument("--action", choices=("like", "comment"), default="like")
     p.add_argument("--min-actions", type=int, default=10)
     p.add_argument("--bins", type=int, default=21)
-    p.add_argument("--out", required=True)
     p.add_argument("--profiles", default=None, help="optional per-user CSV")
-    p.set_defaults(func=cmd_polarize)
 
-    p = sub.add_parser("exposure", parents=[common],
-                       help="selective-exposure curves with 95%% confidence bands")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
+    p = add("exposure", cmd_exposure, infile, labels,
+            help="selective-exposure curves with 95%% confidence bands")
     p.add_argument("--window", choices=("year", "month", "week"), default="week")
     p.add_argument("--span", type=float, default=0.75)
     p.add_argument("--eval-points", type=int, default=25)
     p.add_argument("--standardize-pages", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_exposure)
 
-    p = sub.add_parser("timeline", parents=[common],
-                       help="quarterly active-page and active-user series")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_timeline)
+    add("timeline", cmd_timeline, infile, labels,
+        help="quarterly active-page and active-user series")
 
-    p = sub.add_parser("cohesion", parents=[common],
-                       help="largest detected community per quarter")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--action", choices=("like", "comment"), default="like")
+    p = add("cohesion", cmd_cohesion, infile, labels, action,
+            help="largest detected community per quarter")
     p.add_argument("--algorithms", default="all")
     p.add_argument("--cumulative", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cohesion)
 
-    p = sub.add_parser("anova", parents=[common],
-                       help="sentiment-by-epoch interaction tests")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--labels", required=True)
+    p = add("anova", cmd_anova, infile, labels,
+            help="sentiment-by-epoch interaction tests")
     p.add_argument("--dv", default="comments",
                    help="dependent variables, e.g. comments or posts,likes")
     p.add_argument("--entity", choices=("pages", "users"), default="pages")
     p.add_argument("--split", default="2014Q4", help="last quarter of the 'before' epoch")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_anova)
 
     return parser
 
@@ -554,10 +465,11 @@ def main(argv=None) -> int:
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
-        return args.func(args)
+        _run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

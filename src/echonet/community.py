@@ -9,9 +9,8 @@ dendrogram with the modularity-optimal cut marked.
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import heapq
-import io
 import random
 import warnings
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Partition, ProjectionGraph
+from .ingest import csv_text
 
 MAX_LP_SWEEPS = 1000
 
@@ -60,20 +60,17 @@ class Dendrogram:
     best_score: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["step", "comm_a", "comm_b", "score"])
-        for step, (a, b, score) in enumerate(self.merges, start=1):
-            w.writerow([step, a, b, repr(score)])
-        return buf.getvalue()
+        return csv_text(["step", "comm_a", "comm_b", "score"],
+                        ((step, a, b, score)
+                         for step, (a, b, score) in enumerate(self.merges, start=1)))
 
 
 class _Agglomeration:
     """Bookkeeping shared by the agglomerative algorithms.
 
-    Tracks per-community size, strength, internal weight, between-community
-    weights, a representative min page id for deterministic tie-breaks, the
-    incremental modularity after each merge, and the merge list for replay.
+    Tracks per-community size, strength, between-community weights, a
+    representative min page id for deterministic tie-breaks, the incremental
+    modularity after each merge, and the merge list for replay.
     """
 
     def __init__(self, g: ProjectionGraph):
@@ -83,7 +80,6 @@ class _Agglomeration:
         self.size = [1] * n
         self.minid = list(g.nodes)
         self.strength = [float(s) for s in g.strengths]
-        self.internal = [0.0] * n
         self.between: list[dict[int, float]] = [dict() for _ in range(n)]
         for i, j, w in g.edges():
             self.between[i][j] = float(w)
@@ -106,12 +102,10 @@ class _Agglomeration:
 
     def merge(self, a: int, b: int) -> int:
         new = len(self.size)
-        w_ab = self.between[a].get(b, 0.0)
         self.q += self.delta_q(a, b)
         self.size.append(self.size[a] + self.size[b])
         self.minid.append(min(self.minid[a], self.minid[b]))
         self.strength.append(self.strength[a] + self.strength[b])
-        self.internal.append(self.internal[a] + self.internal[b] + w_ab)
         nb: dict[int, float] = {}
         for old in (a, b):
             for c, w in self.between[old].items():
@@ -362,6 +356,12 @@ def label_propagation(g: ProjectionGraph, seed: int = 0) -> Partition:
                       f"{MAX_LP_SWEEPS} sweeps", ConvergenceWarning)
         flags = ("not_converged",)
     return Partition.from_labels(g.nodes, labels, flags)
+
+
+def derived_seed(seed: int, *parts) -> int:
+    """Deterministic per-operation seed from (global seed, names)."""
+    text = ":".join([str(seed)] + [str(p) for p in parts])
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
 
 ALGORITHMS = {

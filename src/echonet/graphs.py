@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .ingest import Dataset
+from .ingest import Dataset, csv_text
 
 
 def _compact(values) -> tuple[np.ndarray, int]:
@@ -72,12 +72,7 @@ class Partition:
         return counts
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["page_id", "community"])
-        for node, lab in sorted(zip(self.nodes, self.labels)):
-            w.writerow([node, lab])
-        return buf.getvalue()
+        return csv_text(["page_id", "community"], sorted(zip(self.nodes, self.labels)))
 
 
 class BipartiteGraph:
@@ -177,12 +172,7 @@ class ProjectionGraph:
             if b < a:
                 a, b = b, a
             rows.append((a, b, w))
-        rows.sort()
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["page_a", "page_b", "weight"])
-        w.writerows(rows)
-        return buf.getvalue()
+        return csv_text(["page_a", "page_b", "weight"], sorted(rows))
 
     @classmethod
     def from_csv(cls, stream) -> "ProjectionGraph":

@@ -21,6 +21,7 @@ from .timebins import (
     parse_date,
     parse_timestamp,
     quarter_of,
+    quarter_range,
 )
 
 ACTIONS = ("post", "like", "comment")
@@ -59,23 +60,20 @@ class InteractionRecord:
 class Dataset:
     """Immutable indexed collection of interaction records.
 
-    Secondary indices: by page, by user (like/comment actors only) and by
-    (action, calendar quarter). Users are defined as the actors of like and
-    comment actions; post records carry the page's publisher as actor and do
-    not contribute to the user set.
+    Secondary indices: by page and by user (like/comment actors only). Users
+    are defined as the actors of like and comment actions; post records carry
+    the page's publisher as actor and do not contribute to the user set.
     """
 
     def __init__(self, records):
         self.records: tuple[InteractionRecord, ...] = tuple(records)
         self.by_page: dict[str, list[int]] = {}
         self.by_user: dict[str, list[int]] = {}
-        self.by_action_quarter: dict[tuple[str, tuple[int, int]], list[int]] = {}
         self.skipped_lines = 0
         for i, r in enumerate(self.records):
             self.by_page.setdefault(r.page, []).append(i)
             if r.action in ENGAGEMENT_ACTIONS:
                 self.by_user.setdefault(r.user, []).append(i)
-            self.by_action_quarter.setdefault((r.action, quarter_of(r.ts)), []).append(i)
 
     @property
     def pages(self) -> set[str]:
@@ -90,25 +88,23 @@ class Dataset:
 
     def quarter_span(self) -> list[tuple[int, int]]:
         """All calendar quarters between the first and last record, inclusive."""
-        from .timebins import quarter_range
-
         if not self.records:
             return []
-        quarters = [q for (_a, q) in self.by_action_quarter]
-        return quarter_range(min(quarters), max(quarters))
+        ts = [r.ts for r in self.records]
+        return quarter_range(quarter_of(min(ts)), quarter_of(max(ts)))
 
     def validate(self) -> None:
-        """Consistency of the secondary indices with the record store."""
-        n = sum(len(v) for v in self.by_page.values())
-        assert n == len(self.records), "by_page index incomplete"
-        n = sum(len(v) for v in self.by_action_quarter.values())
-        assert n == len(self.records), "by_action_quarter index incomplete"
+        """Raise ValueError unless the secondary indices match the record store."""
+        if sum(len(v) for v in self.by_page.values()) != len(self.records):
+            raise ValueError("by_page index incomplete")
         for page, idxs in self.by_page.items():
-            assert all(self.records[i].page == page for i in idxs)
+            if any(self.records[i].page != page for i in idxs):
+                raise ValueError(f"by_page index wrong for page {page!r}")
         for user, idxs in self.by_user.items():
             for i in idxs:
                 r = self.records[i]
-                assert r.user == user and r.action in ENGAGEMENT_ACTIONS
+                if r.user != user or r.action not in ENGAGEMENT_ACTIONS:
+                    raise ValueError(f"by_user index wrong for user {user!r}")
 
 
 def _record_from_obj(obj, line_no: int) -> InteractionRecord:
@@ -186,6 +182,20 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     return ds
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows, floats written with repr().
+
+    The only CSV text builder; give it Python floats, since numpy 2 scalars
+    repr as ``np.float64(x)``.
+    """
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
 def record_to_json(r: InteractionRecord) -> str:
     return json.dumps(
         {"user": r.user, "page": r.page, "post": r.post, "action": r.action,
@@ -203,12 +213,8 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     if format == "jsonl":
         return "".join(record_to_json(r) + "\n" for r in ordered)
     if format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for r in ordered:
-            w.writerow([r.user, r.page, r.post, r.action, format_timestamp(r.ts)])
-        return buf.getvalue()
+        return csv_text(CSV_HEADER, ((r.user, r.page, r.post, r.action,
+                                      format_timestamp(r.ts)) for r in ordered))
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -254,13 +260,10 @@ class SummaryTable:
     FIELDS = ("pages", "posts", "likes", "likers", "comments", "commenters", "users")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         labels = list(self.rows)
-        w.writerow(["measure"] + labels)
-        for f in self.FIELDS:
-            w.writerow([f] + [getattr(self.rows[lab], f) for lab in labels])
-        return buf.getvalue()
+        return csv_text(["measure"] + labels,
+                        ([f] + [getattr(self.rows[lab], f) for lab in labels]
+                         for f in self.FIELDS))
 
 
 def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
@@ -326,9 +329,4 @@ def read_labels(stream) -> dict[str, str]:
 
 
 def write_labels(labels: dict[str, str]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["page_id", "label"])
-    for page in sorted(labels):
-        w.writerow([page, labels[page]])
-    return buf.getvalue()
+    return csv_text(["page_id", "label"], sorted(labels.items()))

@@ -8,7 +8,6 @@ ANOVA/MANOVA machinery tests sentiment-by-epoch interactions on those series.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .community import ALGORITHMS
+from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
 from .graphs import BipartiteGraph, project
 from .ingest import Dataset
@@ -103,11 +102,6 @@ def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     return out
 
 
-def _derived_seed(seed: int, *parts) -> int:
-    text = ":".join([str(seed)] + [str(p) for p in parts])
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
-
-
 def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
                     algorithms=tuple(ALGORITHMS), seed: int = 0,
                     cumulative: bool = False) -> list[CohesionPoint]:
@@ -125,16 +119,17 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
             raise ValueError(f"unknown algorithm {algo!r}")
     communities = sorted(set(labels.values()))
     quarters = d.quarter_span()
+    by_quarter: dict[tuple[int, int], list] = {}
+    for r in d.records:
+        if r.action == action:
+            by_quarter.setdefault(quarter_of(r.ts), []).append(r)
     out: list[CohesionPoint] = []
     for qi, q in enumerate(quarters):
         window_quarters = quarters[: qi + 1] if cumulative else [q]
-        idxs: list[int] = []
-        for wq in window_quarters:
-            idxs.extend(d.by_action_quarter.get((action, wq), ()))
+        window = [r for wq in window_quarters for r in by_quarter.get(wq, ())]
         for side in communities:
             pairs = set()
-            for i in idxs:
-                r = d.records[i]
+            for r in window:
                 if labels.get(r.page) == side:
                     pairs.add((r.user, r.page))
             pages = sorted({p for _u, p in pairs})
@@ -156,7 +151,7 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
                     largest = 1  # no co-actors: every page is its own community
                 else:
                     part = ALGORITHMS[algo](
-                        g, _derived_seed(seed, "cohesion", q, side, algo))
+                        g, derived_seed(seed, "cohesion", q, side, algo))
                     largest = max(part.sizes())
                 out.append(CohesionPoint(q, side, algo, largest, total))
     return out

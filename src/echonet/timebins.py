@@ -14,9 +14,25 @@ _ISO_Z = re.compile(r"Z$")
 
 SECONDS_PER_DAY = 86400
 
+# Years 1000-9999: the instants whose canonical form format_timestamp writes
+# and parse_timestamp reads back.
+MIN_TS = int(datetime(1000, 1, 1, tzinfo=timezone.utc).timestamp())
+MAX_TS = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+
 
 def parse_timestamp(value) -> int:
-    """Parse an ISO-8601 UTC instant or integer epoch seconds to epoch seconds."""
+    """Parse an ISO-8601 UTC instant or integer epoch seconds to epoch seconds.
+
+    Raises ValueError for malformed values and for instants outside the
+    years 1000-9999.
+    """
+    ts = _epoch_seconds(value)
+    if not MIN_TS <= ts <= MAX_TS:
+        raise ValueError(f"timestamp outside the years 1000-9999: {value!r}")
+    return ts
+
+
+def _epoch_seconds(value) -> int:
     if isinstance(value, bool):
         raise ValueError(f"not a timestamp: {value!r}")
     if isinstance(value, int):
@@ -100,17 +116,6 @@ def parse_quarter(label: str) -> tuple[int, int]:
     if not m:
         raise ValueError(f"bad quarter {label!r}, expected e.g. 2014Q4")
     return (int(m.group(1)), int(m.group(2)))
-
-
-def quarter_bounds(q: tuple[int, int]) -> tuple[int, int]:
-    """Inclusive epoch-second bounds of a calendar quarter."""
-    year, qn = q
-    start = datetime(year, 3 * (qn - 1) + 1, 1, tzinfo=timezone.utc)
-    if qn == 4:
-        nxt = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
-    else:
-        nxt = datetime(year, 3 * qn + 1, 1, tzinfo=timezone.utc)
-    return (int(start.timestamp()), int(nxt.timestamp()) - 1)
 
 
 def quarter_range(first: tuple[int, int], last: tuple[int, int]) -> list[tuple[int, int]]:

@@ -178,6 +178,50 @@ def test_anova_univariate_and_manova(corpus):
     assert (int(rows[1][2]), int(rows[1][3])) == (2, 16 - 5)
 
 
+def test_detect_dendrogram_without_one_writes_nothing(corpus, capsys):
+    rc = main(["detect", "--out-dir", str(corpus), "--in", "data.jsonl",
+               "--algorithm", "multilevel", "--out", "ml.csv", "--dendrogram", "d.csv"])
+    assert rc == 1
+    assert "does not produce a dendrogram" in capsys.readouterr().err
+    assert not (corpus / "ml.csv").exists() and not (corpus / "d.csv").exists()
+
+
+def write_jsonl(path: Path, records) -> None:
+    path.write_text("".join(json.dumps({"user": u, "page": p, "post": f"{p}_s0",
+                                        "action": a, "ts": ts}) + "\n"
+                            for u, p, a, ts in records))
+
+
+def test_cohesion_warns_for_every_degenerate_quarter(tmp_path, capsys):
+    write_jsonl(tmp_path / "d.jsonl", [
+        ("u1", "p1", "like", "2014-02-01T00:00:00Z"),
+        ("u2", "a1", "like", "2014-02-01T00:00:00Z"),
+        ("u1", "p1", "like", "2014-05-01T00:00:00Z"),
+        ("u1", "p2", "like", "2014-05-01T00:00:00Z"),
+    ])
+    (tmp_path / "l.csv").write_text("p1,pro\np2,pro\na1,anti\n")
+    run("cohesion", "--out-dir", tmp_path, "--in", "d.jsonl", "--labels", "l.csv",
+        "--out", "c.csv")
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: degenerate quarter 2014Q1 for anti",
+        "warning: degenerate quarter 2014Q1 for pro",
+        "warning: degenerate quarter 2014Q2 for anti",
+    ]
+
+
+@pytest.mark.parametrize("ts", [10**17, -10**17, -30610310400])  # the last is in 999
+def test_out_of_range_timestamp_through_cli(tmp_path, capsys, ts):
+    write_jsonl(tmp_path / "d.jsonl", [("p1", "p1", "post", "2014-02-01T00:00:00Z"),
+                                       ("u2", "p1", "like", ts)])
+    argv = ["ingest", "--out-dir", str(tmp_path), "--in", "d.jsonl", "--out", "f.jsonl"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2:")
+    assert main(argv + ["--lenient", "--min-posts", "1"]) == 0
+    assert "skipped 1 malformed lines" in capsys.readouterr().err
+    assert len((tmp_path / "f.jsonl").read_text().splitlines()) == 1
+
+
 def test_subcommands_rerun_byte_identical(corpus):
     for args, out in [
         (("validate", "--draws", "10"), "v.csv"),

@@ -1,5 +1,5 @@
 import json
-from datetime import date
+from datetime import date, datetime, timezone
 
 import pytest
 
@@ -18,6 +18,7 @@ from echonet.synth import SynthConfig, generate
 from conftest import dataset, random_dataset, rec
 
 ONE_LINE = '{"user":"u1","page":"p1","post":"x1","action":"like","ts":"2014-03-01T00:00:00Z"}'
+YEAR_999 = int(datetime(999, 12, 31, tzinfo=timezone.utc).timestamp())
 
 
 def test_parse_empty_stream():
@@ -51,6 +52,17 @@ def test_strict_mode_raises_with_line_number(bad):
     with pytest.raises(ParseError) as exc:
         parse_records(ONE_LINE + "\n" + bad + "\n")
     assert exc.value.line_no == 2
+
+
+@pytest.mark.parametrize("ts", [10**17, -10**17, YEAR_999, "0999-12-31T00:00:00Z"])
+def test_out_of_range_timestamp_is_a_parse_error(ts):
+    text = "\n".join([ONE_LINE, json.dumps({**json.loads(ONE_LINE), "ts": ts}),
+                      ONE_LINE]) + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_records(text)
+    assert exc.value.line_no == 2
+    d = parse_records(text, strict=False)
+    assert len(d) == 2 and d.skipped_lines == 1
 
 
 def test_lenient_mode_skips_and_counts():
@@ -193,6 +205,17 @@ def test_summary_users_equals_union_brute_force():
 def test_dataset_indices_consistent():
     d = random_dataset(800, seed=9)
     d.validate()
+
+
+def test_validate_rejects_corrupt_page_index():
+    d = random_dataset(50, seed=1)
+    first, second = sorted(d.by_page)[:2]
+    d.by_page[first].append(d.by_page[second].pop())
+    with pytest.raises(ValueError, match="by_page index wrong"):
+        d.validate()
+    d.by_page[first].pop()
+    with pytest.raises(ValueError, match="by_page index incomplete"):
+        d.validate()
 
 
 def test_labels_round_trip():
