@@ -13,7 +13,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .ingest import Dataset, csv_text
 
@@ -195,6 +194,8 @@ def project(b: BipartiteGraph) -> ProjectionGraph:
     accumulating their page pairs (cost ~ sum of squared user degrees), never
     by all-pairs set intersection.
     """
+    from scipy import sparse  # imported here: most CLI stages never project
+
     n_pages = len(b.pages)
     n_users = len(b.users)
     if n_users == 0 or n_pages == 0:

@@ -11,10 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import count, islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .timebins import (
+    SECONDS_PER_DAY,
     day_end,
     day_start,
     format_timestamp,
@@ -131,12 +136,29 @@ def _make_record(user, page, post, action, ts, line_no: int) -> InteractionRecor
     return InteractionRecord(user, page, post, action, epoch)
 
 
+# Lines per chunk of the JSONL fast path: bounds the parse's transient memory.
+_CHUNK_LINES = 8192
+# The scanner json.loads runs, called directly: one value per call, no wrapper.
+_scan_once = json.JSONDecoder().scan_once
+_ACTION_OF = {a: a for a in ACTIONS}  # KeyError for an unknown action
+# Seconds of the "HH", "MM" and "SS" fields of a canonical timestamp.
+_HOURS = {f"{h:02d}": 3600 * h for h in range(24)}
+_MINUTES = {f"{m:02d}": 60 * m for m in range(60)}
+_SECONDS = {f"{s:02d}": s for s in range(60)}
+_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset:
     """Parse a line-oriented text stream into an indexed Dataset.
 
     In strict mode a malformed line raises ParseError with the line number;
     in lenient mode bad lines are skipped and counted in
     ``Dataset.skipped_lines``.
+
+    JSONL is read in chunks of ``_CHUNK_LINES`` lines. A chunk is decoded
+    line by line and validated column by column; a chunk in which anything
+    fails is parsed again by the per-line path (``_parse_jsonl_lines``), the
+    only source of ParseError messages and skip counts.
     """
     if isinstance(stream, (str, bytes)):
         if isinstance(stream, bytes):
@@ -145,30 +167,27 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
 
-    records = []
+    records: list[InteractionRecord] = []
     skipped = 0
     if format == "jsonl":
-        for line_no, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        strings: dict[str, str] = {}
+        days: dict[str, int] = {}
+        line_no = 1
+        while chunk := list(islice(stream, _CHUNK_LINES)):
             try:
-                obj = json.loads(line)
-                records.append(_record_from_obj(obj, line_no))
-            except (json.JSONDecodeError, ParseError) as exc:
-                if strict:
-                    if isinstance(exc, ParseError):
-                        raise
-                    raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-                skipped += 1
+                records += _parse_jsonl_chunk(chunk, strings, days)
+            except (ValueError, KeyError, TypeError, StopIteration, RecursionError):
+                skipped += _parse_jsonl_lines(chunk, line_no, strict, records)
+            line_no += len(chunk)
     else:
-        reader = csv.reader(stream)
-        for line_no, row in enumerate(reader, start=1):
+        for line_no, row in _csv_rows(stream):
             if not row:
                 continue
             if line_no == 1 and row == CSV_HEADER:
                 continue
             try:
+                if isinstance(row, ParseError):
+                    raise row
                 if len(row) != 5:
                     raise ParseError(line_no, f"expected 5 columns, got {len(row)}")
                 records.append(_make_record(*row, line_no))
@@ -180,6 +199,100 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     ds = Dataset(records)
     ds.skipped_lines = skipped
     return ds
+
+
+def _parse_jsonl_lines(lines, line_no: int, strict: bool, records: list) -> int:
+    """Per-line JSONL path: append each good record, return the lines skipped.
+
+    ``line_no`` is the number of the first line. In strict mode the first bad
+    line raises ParseError.
+    """
+    skipped = 0
+    for line_no, line in enumerate(lines, start=line_no):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+            records.append(_record_from_obj(obj, line_no))
+        except ParseError:
+            if strict:
+                raise
+            skipped += 1
+    return skipped
+
+
+def _parse_jsonl_chunk(lines, strings: dict, days: dict) -> list[InteractionRecord]:
+    """Records of a chunk of lines, or an exception if any line is not clean.
+
+    Each line is one JSON value, as ``json.loads`` reads it; fields are then
+    checked a column at a time. User, page, post and action strings are
+    interned in ``strings``; ``days`` caches the epoch of each canonical day.
+    """
+    objs = []
+    for line in lines:
+        line = line.strip()
+        if line:
+            obj, end = _scan_once(line, 0)
+            if end != len(line):
+                raise ValueError("extra data")
+            objs.append(obj)
+    if not objs:
+        return []
+    columns = []  # o[name] raises TypeError unless o is a JSON object
+    for name in ("user", "page", "post"):
+        col = [o[name] for o in objs]
+        if set(map(type, col)) != {str} or "" in col:
+            raise TypeError(f"{name} must be a non-empty string")
+        columns.append(list(map(strings.setdefault, col, col)))
+    actions = list(map(_ACTION_OF.__getitem__, [o["action"] for o in objs]))
+    stamps = _epochs([o["ts"] for o in objs], days)
+    return list(map(InteractionRecord, *columns, actions, stamps))
+
+
+def _epochs(values, days: dict) -> list[int]:
+    """parse_timestamp of each value, with canonical ``YYYY-MM-DDTHH:MM:SSZ`` read fast.
+
+    A canonical value is its day's epoch, cached in ``days``, plus exact
+    lookups of its hour, minute and second (KeyError when one is out of
+    range); every other form, and a day not written ``YYYY-MM-DD``, goes
+    through parse_timestamp.
+    """
+    out = []
+    append = out.append
+    for v in values:
+        if (type(v) is str and len(v) == 20 and v[10] == "T" and v[13] == ":"
+                and v[16] == ":" and v[19] == "Z"):
+            day = v[:10]
+            start = days.get(day)
+            if start is None and _DAY.fullmatch(day):
+                start = days[day] = parse_timestamp(day + "T00:00:00Z")
+            if start is not None:
+                append(start + _HOURS[v[11:13]] + _MINUTES[v[14:16]] + _SECONDS[v[17:19]])
+                continue
+        append(parse_timestamp(v))
+    return out
+
+
+def _csv_rows(stream):
+    """Yield ``(line_no, row)`` per CSV row, numbered from 1.
+
+    A row the csv module rejects, such as one with a field over its size
+    limit, is yielded as a ParseError in place of the row, so callers decide
+    whether to raise it or skip the line.
+    """
+    reader = csv.reader(stream)
+    for line_no in count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            row = ParseError(line_no, f"invalid CSV: {exc}")
+        yield line_no, row
 
 
 def csv_text(header, rows) -> str:
@@ -196,26 +309,48 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def record_to_json(r: InteractionRecord) -> str:
-    return json.dumps(
-        {"user": r.user, "page": r.page, "post": r.post, "action": r.action,
-         "ts": format_timestamp(r.ts)},
-        separators=(",", ":"),
-    )
+_SORT_KEY = attrgetter("ts", "page", "post", "user", "action")  # InteractionRecord.sort_key
+# "HH:MM:" of each minute of the day and "SSZ" of each second of the minute.
+_HH_MM = [f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)]
+_SS_Z = [f"{s:02d}Z" for s in range(60)]
 
 
 def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     """Canonical serialization: records sorted by (ts, page, post, user, action).
 
-    Parsing the output and re-serializing reproduces it byte for byte.
+    Parsing the output and re-serializing reproduces it byte for byte. A JSONL
+    line is ``json.dumps`` of the record's fields in that order with
+    ``separators=(",", ":")`` and the timestamp from format_timestamp; it is
+    built from each distinct string escaped once and each distinct UTC day
+    formatted once.
     """
-    ordered = sorted(d.records, key=InteractionRecord.sort_key)
-    if format == "jsonl":
-        return "".join(record_to_json(r) + "\n" for r in ordered)
+    if format not in ("jsonl", "csv"):
+        raise ValueError(f"unknown format {format!r}")
+    ordered = sorted(d.records, key=_SORT_KEY)
+    stamp = _timestamp_formatter()
     if format == "csv":
-        return csv_text(CSV_HEADER, ((r.user, r.page, r.post, r.action,
-                                      format_timestamp(r.ts)) for r in ordered))
-    raise ValueError(f"unknown format {format!r}")
+        return csv_text(CSV_HEADER, ((r.user, r.page, r.post, r.action, stamp(r.ts))
+                                     for r in ordered))
+    strings = {v for r in ordered for v in (r.user, r.page, r.post, r.action)}
+    quoted = {v: encode_basestring_ascii(v) for v in strings}
+    return "".join([
+        f'{{"user":{quoted[r.user]},"page":{quoted[r.page]},"post":{quoted[r.post]},'
+        f'"action":{quoted[r.action]},"ts":"{stamp(r.ts)}"}}\n'
+        for r in ordered])
+
+
+def _timestamp_formatter():
+    """format_timestamp with each UTC day's ``YYYY-MM-DDT`` prefix formatted once."""
+    days: dict[int, str] = {}
+
+    def stamp(ts: int) -> str:
+        day, second = divmod(ts, SECONDS_PER_DAY)
+        prefix = days.get(day)
+        if prefix is None:
+            prefix = days[day] = format_timestamp(day * SECONDS_PER_DAY)[:-len("00:00:00Z")]
+        return prefix + _HH_MM[second // 60] + _SS_Z[second % 60]
+
+    return stamp
 
 
 def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,
@@ -232,10 +367,10 @@ def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,
     lo, hi = day_start(start), day_end(end)
 
     in_range = [r for r in d.records if lo <= r.ts <= hi]
-    post_counts: dict[str, int] = {}
+    post_counts = dict.fromkeys({r.page for r in in_range}, 0)
     for r in in_range:
         if r.action == "post":
-            post_counts[r.page] = post_counts.get(r.page, 0) + 1
+            post_counts[r.page] += 1
     keep = {p for p, n in post_counts.items() if n >= min_posts}
     return Dataset(r for r in in_range if r.page in keep)
 
@@ -314,7 +449,9 @@ def read_labels(stream) -> dict[str, str]:
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     out: dict[str, str] = {}
-    for line_no, row in enumerate(csv.reader(stream), start=1):
+    for line_no, row in _csv_rows(stream):
+        if isinstance(row, ParseError):
+            raise row
         if not row:
             continue
         if line_no == 1 and [c.strip() for c in row] == ["page_id", "label"]:

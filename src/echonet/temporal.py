@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
@@ -169,6 +168,8 @@ def f_tail(F: float, df1: int, df2: int) -> float:
         raise ValueError("degrees of freedom must be positive")
     if math.isinf(F):
         return 0.0
+    from scipy.special import betainc  # imported here: only ANOVA/MANOVA need it
+
     x = df2 / (df2 + df1 * F)
     return float(betainc(df2 / 2.0, df1 / 2.0, x))
 

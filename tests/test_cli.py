@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import echonet
 from echonet.cli import main
 
 
@@ -259,3 +263,27 @@ def test_bad_threads_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["timeline", "--threads", "0", "--in", "x", "--labels", "y",
               "--out", "z", "--out-dir", str(tmp_path)])
+
+
+def test_csv_field_over_size_limit_through_cli(tmp_path, capsys):
+    (tmp_path / "d.csv").write_text("p1,p1,p1_s0,post,2014-02-01T00:00:00Z\n"
+                                    + "u" * 200_000 + ",p1,p1_s0,like,2014-02-01T00:00:00Z\n")
+    argv = ["ingest", "--out-dir", str(tmp_path), "--in", "d.csv", "--format", "csv",
+            "--out", "f.jsonl"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2: invalid CSV")
+    assert main(argv + ["--lenient", "--min-posts", "1"]) == 0
+    assert "skipped 1 malformed lines" in capsys.readouterr().err
+    assert len((tmp_path / "f.jsonl").read_text().splitlines()) == 1
+
+
+def test_cli_import_loads_no_scipy_submodules():
+    code = ("import sys, echonet.cli; "
+            "print([m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules])")
+    src = str(Path(echonet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,10 +1,16 @@
+import csv
+import io
+import itertools
 import json
+import random
 from datetime import date, datetime, timezone
 
 import pytest
 
+from echonet import ingest
 from echonet.ingest import (
     Dataset,
+    InteractionRecord,
     ParseError,
     dataset_summary,
     filter_dataset,
@@ -14,6 +20,7 @@ from echonet.ingest import (
     write_labels,
 )
 from echonet.synth import SynthConfig, generate
+from echonet.timebins import format_timestamp
 
 from conftest import dataset, random_dataset, rec
 
@@ -98,12 +105,34 @@ def test_parse_serialize_idempotent():
     assert once == twice
 
 
+def test_serialize_matches_json_dumps_per_record():
+    d = dataset(rec("u\u00e9\"\\", "p1", "like", "2014-03-01T23:59:59Z"),
+                rec("u\n\U0001f600", "p1", "comment", "1999-12-31T00:00:00Z"),
+                rec("p1", "p1", "post", "2014-03-01T00:00:00Z"),
+                rec("u1", "p2", "like", "1000-01-01T00:00:00Z"),
+                rec("u1", "p2", "like", "9999-12-31T23:59:59Z"))
+    expected = "".join(
+        json.dumps({"user": r.user, "page": r.page, "post": r.post, "action": r.action,
+                    "ts": format_timestamp(r.ts)}, separators=(",", ":")) + "\n"
+        for r in sorted(d.records, key=InteractionRecord.sort_key))
+    assert serialize_records(d) == expected
+    rows = list(csv.reader(io.StringIO(serialize_records(d, "csv"))))
+    assert [row[4] for row in rows[1:]] == [json.loads(line)["ts"]
+                                            for line in expected.splitlines()]
+
+
 def test_filter_drops_page_below_min_posts():
     records = [rec("page", "p1", "post", f"2014-01-{d:02d}", post=f"p1_s{d}")
                for d in range(1, 10)]  # 9 posts
     records.append(rec("u1", "p1", "like", "2014-02-01"))
     out = filter_dataset(dataset(*records))
     assert len(out) == 0 and not out.pages
+
+
+def test_filter_min_posts_zero_keeps_pages_without_posts():
+    d = dataset(rec("u1", "p1", "like", "2014-02-01"))
+    assert filter_dataset(d, min_posts=0).records == d.records
+    assert len(filter_dataset(d, min_posts=1)) == 0
 
 
 def test_filter_date_range_applied_first():
@@ -221,3 +250,176 @@ def test_validate_rejects_corrupt_page_index():
 def test_labels_round_trip():
     labels = {"p1": "pro", "p2": "anti"}
     assert read_labels(write_labels(labels)) == labels
+
+
+# --- JSONL parse: the chunked path against the per-line path -------------------
+
+def per_line(text: str, strict: bool):
+    """The per-line path over the whole text: (records, skipped) or ParseError."""
+    records = []
+    skipped = ingest._parse_jsonl_lines(io.StringIO(text), 1, strict, records)
+    return records, skipped
+
+
+def assert_same_as_per_line(text: str, monkeypatch):
+    """parse_records equals the per-line path, in both modes and at any chunk size."""
+    for chunk_lines, strict in itertools.product((1, 3, 8192), (True, False)):
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+        try:
+            expected = per_line(text, strict)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_records(text, strict=strict)
+            assert (got.value.line_no, got.value.reason) == (exc.line_no, exc.reason)
+        else:
+            d = parse_records(text, strict=strict)
+            assert (list(d.records), d.skipped_lines) == expected
+            assert [type(r.ts) for r in d.records] == [int] * len(d)
+
+
+def test_two_objects_on_a_line_and_one_object_over_two_lines(monkeypatch):
+    obj = json.loads(ONE_LINE)
+    head, tail = ONE_LINE[:40], ONE_LINE[40:]
+    text = "\n".join([ONE_LINE, ONE_LINE + ONE_LINE, ONE_LINE, head, tail,
+                      json.dumps({**obj, "user": "u2"})]) + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_records(text)
+    assert exc.value.line_no == 2 and "Extra data" in exc.value.reason
+    d = parse_records(text, strict=False)
+    assert d.skipped_lines == 3
+    assert [r.user for r in d.records] == ["u1", "u1", "u2"]
+    assert_same_as_per_line(text, monkeypatch)
+
+
+def test_bad_line_on_each_side_of_a_chunk_boundary(monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+    lines = [json.dumps({**json.loads(ONE_LINE), "user": f"u{i}"}) for i in range(1, 11)]
+    lines[3] = "not json"         # last line of the first chunk
+    lines[4] = lines[4][:-1]      # first line of the second chunk, truncated
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_records(text)
+    assert exc.value.line_no == 4
+    d = parse_records(text, strict=False)
+    assert d.skipped_lines == 2
+    assert [r.user for r in d.records] == ["u1", "u2", "u3", "u6", "u7", "u8", "u9", "u10"]
+    lines[3] = ONE_LINE
+    with pytest.raises(ParseError) as exc:
+        parse_records("\n".join(lines))
+    assert exc.value.line_no == 5
+    assert_same_as_per_line(text, monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    "\n\n" + ONE_LINE + "\n\n  \t\n" + ONE_LINE + "\n\n",
+    ONE_LINE + "\r\n" + ONE_LINE + "\r\n\r\n",
+    "\ufeff" + ONE_LINE + "\n" + ONE_LINE + "\n",
+    ONE_LINE + "\n\ufeff" + ONE_LINE + "\n",
+])
+def test_blank_lines_crlf_and_bom_match_per_line(text, monkeypatch):
+    assert_same_as_per_line(text, monkeypatch)
+
+
+def test_crlf_file_and_leading_bom_file(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes((ONE_LINE + "\r\n").encode() * 3)
+    with open(path, encoding="utf-8") as fh:
+        assert len(parse_records(fh)) == 3
+    path.write_bytes(b"\xef\xbb\xbf" + (ONE_LINE + "\n").encode() * 3)
+    with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as exc:
+        parse_records(fh)
+    assert exc.value.line_no == 1 and "BOM" in exc.value.reason
+    with open(path, encoding="utf-8") as fh:
+        d = parse_records(fh, strict=False)
+    assert len(d) == 2 and d.skipped_lines == 1
+
+
+def test_invalid_json_beyond_json_decode_error_is_a_parse_error():
+    too_deep = "[" * 100_000 + "]" * 100_000
+    too_long = '{"user":"u1","page":"p1","post":"x1","action":"like","ts":' + "1" * 5000 + "}"
+    for bad in (too_deep, too_long):
+        text = ONE_LINE + "\n" + bad + "\n" + ONE_LINE + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_records(text)
+        assert exc.value.line_no == 2 and exc.value.reason.startswith("invalid JSON")
+        d = parse_records(text, strict=False)
+        assert len(d) == 2 and d.skipped_lines == 1
+
+
+TIMESTAMPS = [
+    "2014-03-01T24:00:00Z", "2010-02-30T00:00:00Z", "2014-03-01T23:59:60Z",
+    "2014-03-01T23:60:00Z", "2014-13-01T00:00:00Z", "2014-03-01 12:00:00Z",
+    "2014-03-01T12:00:00+00:00", "2014-03-01T12:00:00+01:00", "2014-03-01T12:00:00",
+    "2014-03-01T12:00:00z", " 2014-03-01T12:00:00Z", "2014-3-01T12:00:00Z",
+    "2014-W09-1T12:00:00Z", "2014-03-01T12:00:00.5Z", "2014-03-01T1a:00:00Z",
+    "0999-12-31T23:59:59Z", "1000-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "\uff12014-03-01T12:00:00Z", "2014-03-01", "1393632000", "-1393632000", "",
+    1393632000, -1393632000, 1393632000.0, 1393632000.5, 10**30, -10**20, 2**63,
+    True, None, [], {}, "NaN",
+]
+
+
+def mutate(line: str, rng: random.Random) -> str:
+    obj = json.loads(line)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return line[:rng.randrange(len(line))]
+    if kind == 1:
+        obj[rng.choice(list(obj))] = rng.choice([0, -7, 1.5, None, True, [], {}, "", "x"])
+    elif kind == 2:
+        obj["ts"] = rng.choice(TIMESTAMPS)
+    elif kind == 3:
+        del obj[rng.choice(list(obj))]
+    elif kind == 4:
+        obj["action"] = rng.choice(["share", "Like", "post ", "comment"])
+    elif kind == 5:
+        return line[:-1] + ',"user":' + json.dumps(rng.choice(["u9", "", 3])) + "}"
+    else:
+        return rng.choice(["[1, 2]", "null", '"text"', "{}", line + " x",
+                           "\ufeff" + line, line.replace('"', "'")])
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mutation_oracle_matches_per_line(seed, monkeypatch):
+    rng = random.Random(seed)
+    cfg = SynthConfig(users_per_side=(8, 8), pages_per_side=(3, 2),
+                      actions_per_user=("fixed", 4), posts_per_page=3, seed=seed)
+    lines = serialize_records(generate(cfg)[0]).splitlines()
+    for i in rng.sample(range(len(lines)), 1 + seed * 3):
+        lines[i] = mutate(lines[i], rng)
+    assert_same_as_per_line("\n".join(lines) + "\n", monkeypatch)
+
+
+@pytest.mark.parametrize("ts", TIMESTAMPS)
+def test_every_timestamp_form_matches_per_line(ts, monkeypatch):
+    assert_same_as_per_line(json.dumps({**json.loads(ONE_LINE), "ts": ts}) + "\n",
+                            monkeypatch)
+
+
+def test_parse_interns_strings():
+    text = (ONE_LINE + "\n") * 3
+    a, b, c = parse_records(text).records
+    assert a.user is b.user is c.user and a.page is c.page and a.post is b.post
+
+
+# --- CSV fields over the csv module's field size limit -------------------------
+
+BIG = "u" * 200_000
+
+
+def test_csv_field_over_size_limit():
+    text = ("user,page,post,action,ts\n" + "u1,p1,x1,like,2014-03-01T00:00:00Z\n"
+            + f"{BIG},p1,x1,like,2014-03-01T00:00:00Z\n"
+            + "u2,p1,x1,like,2014-03-01T00:00:00Z\n")
+    with pytest.raises(ParseError) as exc:
+        parse_records(text, format="csv")
+    assert exc.value.line_no == 3 and "field larger than field limit" in exc.value.reason
+    d = parse_records(text, format="csv", strict=False)
+    assert [r.user for r in d.records] == ["u1", "u2"] and d.skipped_lines == 1
+
+
+def test_labels_field_over_size_limit():
+    with pytest.raises(ParseError) as exc:
+        read_labels(f"page_id,label\np1,pro\n{BIG},anti\n")
+    assert exc.value.line_no == 3
