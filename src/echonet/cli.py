@@ -101,7 +101,7 @@ def _run(args) -> None:
     inputs, loaded = [], []
     if hasattr(args, "infile"):
         inputs.append(_out_path(args, args.infile))
-        with open(inputs[-1], "r", encoding="utf-8") as fh:
+        with open(inputs[-1], encoding="utf-8", errors="surrogateescape") as fh:
             d = parse_records(fh, format=getattr(args, "format", "jsonl"),
                               strict=getattr(args, "strict", True))
         if d.skipped_lines:
@@ -109,7 +109,7 @@ def _run(args) -> None:
         loaded.append(d)
     if hasattr(args, "labels"):
         inputs.append(_out_path(args, args.labels))
-        with open(inputs[-1], "r", encoding="utf-8") as fh:
+        with open(inputs[-1], encoding="utf-8", errors="surrogateescape") as fh:
             loaded.append(read_labels(fh))
     outputs = args.func(args, *loaded)
     for name, text in outputs.items():

@@ -10,22 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ingest import Dataset, csv_text
-
-
-def _compact(values) -> tuple[np.ndarray, int]:
-    """Map arbitrary hashable labels to contiguous ids, first occurrence first."""
-    seen: dict = {}
-    out = np.empty(len(values), dtype=np.int64)
-    for i, v in enumerate(values):
-        if v not in seen:
-            seen[v] = len(seen)
-        out[i] = seen[v]
-    return out, len(seen)
 
 
 @dataclass(frozen=True)
@@ -39,8 +27,10 @@ class Partition:
 
     @classmethod
     def from_labels(cls, nodes, labels, flags=()) -> "Partition":
-        compacted, k = _compact(list(labels))
-        return cls(tuple(nodes), tuple(int(x) for x in compacted), k, tuple(flags))
+        """Map arbitrary hashable labels to contiguous ids, first occurrence first."""
+        ids: dict = {}
+        compact = tuple(ids.setdefault(v, len(ids)) for v in labels)
+        return cls(tuple(nodes), compact, len(ids), tuple(flags))
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, object], nodes=None) -> "Partition":
@@ -75,22 +65,20 @@ class Partition:
 
 
 class BipartiteGraph:
-    """User-page incidence for one action kind, optionally time-windowed."""
+    """User-page incidence for one action kind: sorted neighbour ids per node."""
 
-    def __init__(self, pages, users, edges, action: str, window=None):
+    def __init__(self, pages, users, edges, action: str):
         self.pages: tuple[str, ...] = tuple(pages)
         self.users: tuple[str, ...] = tuple(users)
         self.action = action
-        self.window = window
         self.page_index = {p: i for i, p in enumerate(self.pages)}
-        self.user_index = {u: i for i, u in enumerate(self.users)}
         page_users: list[set[int]] = [set() for _ in self.pages]
         user_pages: list[set[int]] = [set() for _ in self.users]
         for u, p in edges:
             page_users[p].add(u)
             user_pages[u].add(p)
-        self.page_users = [np.array(sorted(s), dtype=np.int64) for s in page_users]
-        self.user_pages = [np.array(sorted(s), dtype=np.int64) for s in user_pages]
+        self.page_users = [sorted(s) for s in page_users]
+        self.user_pages = [sorted(s) for s in user_pages]
 
     @property
     def n_edges(self) -> int:
@@ -122,7 +110,7 @@ def build_bipartite(d: Dataset, action: str, window=None) -> BipartiteGraph:
     uidx = {u: i for i, u in enumerate(users)}
     pidx = {p: i for i, p in enumerate(pages)}
     edges = [(uidx[u], pidx[p]) for u, p in pairs]
-    return BipartiteGraph(pages, users, edges, action, window)
+    return BipartiteGraph(pages, users, edges, action)
 
 
 class ProjectionGraph:
@@ -140,7 +128,7 @@ class ProjectionGraph:
                 raise ValueError("zero-weight pairs must be absent")
             self.adj[i][j] = self.adj[i].get(j, 0) + int(w)
             self.adj[j][i] = self.adj[j].get(i, 0) + int(w)
-        self.strengths = np.array([sum(nb.values()) for nb in self.adj], dtype=np.int64)
+        self.strengths = [sum(nb.values()) for nb in self.adj]
 
     @property
     def n_nodes(self) -> int:
@@ -152,7 +140,7 @@ class ProjectionGraph:
 
     @property
     def total_weight(self) -> int:
-        return int(self.strengths.sum()) // 2
+        return sum(self.strengths) // 2
 
     def edges(self):
         """Yield (i, j, weight) once per unordered pair, i < j, sorted."""
@@ -188,29 +176,19 @@ class ProjectionGraph:
 
 
 def project(b: BipartiteGraph) -> ProjectionGraph:
-    """One-mode projection onto pages.
+    """One-mode projection onto pages, by pair counting.
 
-    Computed as the sparse incidence product, i.e. by iterating users and
-    accumulating their page pairs (cost ~ sum of squared user degrees), never
-    by all-pairs set intersection.
+    Each user adds one to every pair (i, j), i < j, of its sorted pages, in
+    page i's row: the sum over users of C(degree, 2) Counter increments at
+    the Python level, never all-pairs set intersection. Edges go in sorted
+    by (i, j), which keeps every ``adj[v]`` in ascending order.
     """
-    from scipy import sparse  # imported here: most CLI stages never project
-
-    n_pages = len(b.pages)
-    n_users = len(b.users)
-    if n_users == 0 or n_pages == 0:
-        return ProjectionGraph(b.pages, [])
-    rows = np.concatenate([np.full(len(ps), u, dtype=np.int64)
-                           for u, ps in enumerate(b.user_pages)] or [np.empty(0, np.int64)])
-    cols = (np.concatenate(b.user_pages)
-            if any(len(p) for p in b.user_pages) else np.empty(0, np.int64))
-    inc = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(n_users, n_pages))
-    co = (inc.T @ inc).tocoo()
-    edges = [(int(i), int(j), int(w))
-             for i, j, w in zip(co.row, co.col, co.data) if i < j]
-    edges.sort()
-    return ProjectionGraph(b.pages, edges)
+    rows = [Counter() for _ in b.pages]
+    for ps in b.user_pages:
+        for k, i in enumerate(ps):
+            rows[i].update(ps[k + 1:])
+    return ProjectionGraph(b.pages, [(i, j, w) for i, row in enumerate(rows)
+                                     for j, w in sorted(row.items())])
 
 
 def induced_subgraph(g: ProjectionGraph, keep) -> ProjectionGraph:

@@ -146,6 +146,13 @@ _HOURS = {f"{h:02d}": 3600 * h for h in range(24)}
 _MINUTES = {f"{m:02d}": 60 * m for m in range(60)}
 _SECONDS = {f"{s:02d}": s for s in range(60)}
 _DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# What errors="surrogateescape" decodes a byte that is not UTF-8 to.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable(text: str) -> bool:
+    """Whether ``text`` holds a byte that was not UTF-8 (``isascii`` is O(1))."""
+    return not text.isascii() and _UNDECODABLE.search(text) is not None
 
 
 def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset:
@@ -153,7 +160,9 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
 
     In strict mode a malformed line raises ParseError with the line number;
     in lenient mode bad lines are skipped and counted in
-    ``Dataset.skipped_lines``.
+    ``Dataset.skipped_lines``. Bytes are decoded, and a file should be opened,
+    with ``errors="surrogateescape"``: a line holding a byte that is not UTF-8
+    is then a malformed line ("invalid UTF-8") like any other.
 
     JSONL is read in chunks of ``_CHUNK_LINES`` lines. A chunk is decoded
     line by line and validated column by column; a chunk in which anything
@@ -162,7 +171,7 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     """
     if isinstance(stream, (str, bytes)):
         if isinstance(stream, bytes):
-            stream = stream.decode("utf-8")
+            stream = stream.decode("utf-8", "surrogateescape")
         stream = io.StringIO(stream)
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
@@ -213,6 +222,8 @@ def _parse_jsonl_lines(lines, line_no: int, strict: bool, records: list) -> int:
         if not line:
             continue
         try:
+            if _undecodable(line):
+                raise ParseError(line_no, "invalid UTF-8")
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
@@ -237,8 +248,8 @@ def _parse_jsonl_chunk(lines, strings: dict, days: dict) -> list[InteractionReco
         line = line.strip()
         if line:
             obj, end = _scan_once(line, 0)
-            if end != len(line):
-                raise ValueError("extra data")
+            if end != len(line) or not line.isascii() and _UNDECODABLE.search(line):
+                raise ValueError("extra data or invalid UTF-8")
             objs.append(obj)
     if not objs:
         return []
@@ -281,8 +292,9 @@ def _csv_rows(stream):
     """Yield ``(line_no, row)`` per CSV row, numbered from 1.
 
     A row the csv module rejects, such as one with a field over its size
-    limit, is yielded as a ParseError in place of the row, so callers decide
-    whether to raise it or skip the line.
+    limit, or one holding a byte that is not UTF-8, is yielded as a
+    ParseError in place of the row, so callers decide whether to raise it or
+    skip the line.
     """
     reader = csv.reader(stream)
     for line_no in count(1):
@@ -292,6 +304,9 @@ def _csv_rows(stream):
             return
         except csv.Error as exc:
             row = ParseError(line_no, f"invalid CSV: {exc}")
+        else:
+            if any(map(_undecodable, row)):
+                row = ParseError(line_no, "invalid UTF-8")
         yield line_no, row
 
 

@@ -117,20 +117,19 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
     communities = sorted(set(labels.values()))
-    quarters = d.quarter_span()
-    by_quarter: dict[tuple[int, int], list] = {}
+    buckets: dict[tuple, set] = {}  # distinct (user, page) per (quarter, community)
     for r in d.records:
-        if r.action == action:
-            by_quarter.setdefault(quarter_of(r.ts), []).append(r)
+        side = labels.get(r.page)
+        if r.action == action and side is not None:
+            buckets.setdefault((quarter_of(r.ts), side), set()).add((r.user, r.page))
+    so_far: dict[str, set] = {side: set() for side in communities}
     out: list[CohesionPoint] = []
-    for qi, q in enumerate(quarters):
-        window_quarters = quarters[: qi + 1] if cumulative else [q]
-        window = [r for wq in window_quarters for r in by_quarter.get(wq, ())]
+    for q in d.quarter_span():
         for side in communities:
-            pairs = set()
-            for r in window:
-                if labels.get(r.page) == side:
-                    pairs.add((r.user, r.page))
+            pairs = buckets.get((q, side), set())
+            if cumulative:
+                so_far[side] |= pairs
+                pairs = so_far[side]
             pages = sorted({p for _u, p in pairs})
             users = sorted({u for u, _p in pairs})
             total = len(pages)
@@ -142,8 +141,7 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
             pidx = {p: i for i, p in enumerate(pages)}
             uidx = {u: i for i, u in enumerate(users)}
             b = BipartiteGraph(pages, users,
-                               [(uidx[u], pidx[p]) for u, p in pairs],
-                               action, None)
+                               [(uidx[u], pidx[p]) for u, p in pairs], action)
             g = project(b)
             for algo in algorithms:
                 if g.total_weight == 0:

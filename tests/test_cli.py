@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 import echonet
 from echonet.cli import main
+from echonet.ingest import serialize_records
+from echonet.synth import SynthConfig, generate
 
 
 def run(*args):
@@ -226,6 +229,48 @@ def test_out_of_range_timestamp_through_cli(tmp_path, capsys, ts):
     assert len((tmp_path / "f.jsonl").read_text().splitlines()) == 1
 
 
+def break_line(line: bytes, rng: random.Random) -> bytes:
+    """A seeded mutation of a canonical JSONL line that makes it invalid."""
+    obj = json.loads(line)
+    kind = rng.randrange(5)
+    if kind == 0:  # truncation: an object is never complete before its "}"
+        return line[:rng.randrange(1, len(line))]
+    if kind == 1:  # type swap
+        key = rng.choice(list(obj))
+        obj[key] = rng.choice([None, [], {}, True, 1.5] + ([] if key == "ts" else [7]))
+    elif kind == 2:  # huge or negative int, outside the years 1000-9999
+        obj["ts"] = rng.choice([1, -1]) * rng.randrange(10**12, 10**30)
+    elif kind == 3:  # a byte >= 0x80 next to ASCII is never UTF-8
+        i = rng.randrange(len(line) + 1)
+        return line[:i] + bytes([rng.randrange(0x80, 0x100)]) + line[i:]
+    else:  # duplicate key: the last value wins, and it is bad
+        key, value = rng.choice([("user", 3), ("page", ""), ("post", None),
+                                 ("action", "share"), ("ts", "yesterday")])
+        return line[:-1] + f",{json.dumps(key)}:{json.dumps(value)}}}".encode()
+    return json.dumps(obj, separators=(",", ":")).encode()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ingest_fuzzed_lines_through_cli(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    cfg = SynthConfig(users_per_side=(8, 8), pages_per_side=(3, 2),
+                      actions_per_user=("fixed", 4), posts_per_page=3, seed=seed)
+    lines = serialize_records(generate(cfg)[0]).encode().splitlines()
+    broken = sorted(rng.sample(range(len(lines)), 1 + seed))
+    for i in broken:
+        lines[i] = break_line(lines[i], rng)
+    (tmp_path / "d.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    argv = ["ingest", "--out-dir", str(tmp_path), "--in", "d.jsonl", "--out", "f.jsonl",
+            "--min-posts", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {broken[0] + 1}: ")
+    assert main(argv + ["--lenient"]) == 0
+    assert capsys.readouterr().err == f"warning: skipped {len(broken)} malformed lines\n"
+    kept = (tmp_path / "f.jsonl").read_text().splitlines()
+    assert len(kept) == len(lines) - len(broken)
+
+
 def test_subcommands_rerun_byte_identical(corpus):
     for args, out in [
         (("validate", "--draws", "10"), "v.csv"),
@@ -278,12 +323,28 @@ def test_csv_field_over_size_limit_through_cli(tmp_path, capsys):
     assert len((tmp_path / "f.jsonl").read_text().splitlines()) == 1
 
 
-def test_cli_import_loads_no_scipy_submodules():
-    code = ("import sys, echonet.cli; "
-            "print([m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules])")
+def python_stdout(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports this echonet."""
     src = str(Path(echonet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy_submodules():
+    code = ("import sys, echonet.cli; "
+            "print([m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules])")
+    assert python_stdout(code) == "[]"
+
+
+def test_project_and_validate_load_no_scipy_sparse(corpus):
+    code = (
+        "import sys\n"
+        "from echonet.cli import main\n"
+        f"common = ['--out-dir', {str(corpus)!r}, '--in', 'data.jsonl']\n"
+        "assert main(['project', *common, '--out', 'proj.csv']) == 0\n"
+        "assert main(['validate', *common, '--labels', 'labels.csv',\n"
+        "             '--draws', '5', '--out', 'v.csv']) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n")
+    assert python_stdout(code) == "False"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from echonet.graphs import (
+    BipartiteGraph,
     Partition,
     ProjectionGraph,
     build_bipartite,
@@ -89,6 +90,39 @@ def test_projection_weight_sum_identity():
         g = project(b)
         expected = sum(len(ps) * (len(ps) - 1) // 2 for ps in b.user_pages)
         assert sum(w for _i, _j, w in g.edges()) == expected
+
+
+def random_bipartite(rng, n_pages, n_users):
+    """Users of degree 0 to n_pages, degree 0 and 1 drawn often."""
+    edges = []
+    for u in range(n_users):
+        k = min(n_pages, int(rng.choice([0, 1, int(rng.integers(0, n_pages + 1))])))
+        edges += [(u, int(p)) for p in rng.choice(n_pages, size=k, replace=False)]
+    rng.shuffle(edges)
+    return BipartiteGraph([f"p{i:02d}" for i in range(n_pages)],
+                          [f"u{i:02d}" for i in range(n_users)], edges, "like")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_project_sorted_edges_and_adjacency_match_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(0, 0), (3, 0), (0, 4), (1, 5), (2, 1)] + [
+        (int(rng.integers(2, 15)), int(rng.integers(1, 25))) for _ in range(10)]
+    for n_pages, n_users in shapes:
+        b = random_bipartite(rng, n_pages, n_users)
+        assert all(ps == sorted(set(ps)) for ps in b.user_pages + b.page_users)
+        g = project(b)
+        edges = list(g.edges())
+        assert edges == sorted(edges)
+        for v in range(g.n_nodes):
+            assert list(g.adj[v]) == sorted(g.adj[v])
+        users_of = [set(us) for us in b.page_users]
+        expected = [(i, j, len(users_of[i] & users_of[j]))
+                    for i, j in itertools.combinations(range(n_pages), 2)
+                    if users_of[i] & users_of[j]]
+        assert edges == expected
+        assert g.strengths == [sum(nb.values()) for nb in g.adj]
+        assert g.total_weight == sum(w for _i, _j, w in expected)
 
 
 def test_projection_rejects_self_loops_and_zero_weights():
@@ -188,3 +222,6 @@ def test_partition_contiguity_enforced():
         Partition(("a", "b"), (0, 2), 2)
     p = Partition.from_labels(("a", "b", "c"), ["x", "y", "x"])
     assert p.labels == (0, 1, 0) and p.n_communities == 2
+    p = Partition.from_labels("abcde", np.array([7, 7, 3, 9, 3]))
+    assert p.labels == (0, 0, 1, 2, 1) and p.n_communities == 3
+    assert {type(x) for x in p.labels} == {int}

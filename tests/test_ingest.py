@@ -397,6 +397,45 @@ def test_every_timestamp_form_matches_per_line(ts, monkeypatch):
                             monkeypatch)
 
 
+def non_utf8_lines() -> bytes:
+    """Five lines: 2 holds byte 0xff, 4 a lead byte with no continuation, 5 valid UTF-8."""
+    line = ONE_LINE.encode()
+    return b"".join([line, b"\n", line.replace(b'"u1"', b'"u\xff"'), b"\r\n", line,
+                     b"\n", line.replace(b'"x1"', b'"x\xc3"'), b"\n",
+                     line.replace(b'"u1"', b'"u\xc3\xa9"'), b"\n"])
+
+
+def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, monkeypatch):
+    data = non_utf8_lines()
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+
+    def parse_file(strict):
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            return parse_records(fh, strict=strict)
+
+    for parse in (lambda strict: parse_records(data, strict=strict), parse_file):
+        with pytest.raises(ParseError) as exc:
+            parse(True)
+        assert (exc.value.line_no, exc.value.reason) == (2, "invalid UTF-8")
+        d = parse(False)
+        assert d.skipped_lines == 2 and [r.user for r in d.records] == ["u1", "u1", "u\xe9"]
+    assert_same_as_per_line(data.decode("utf-8", "surrogateescape"), monkeypatch)
+
+
+def test_non_utf8_byte_in_csv_and_labels():
+    row = b"u1,p1,x1,like,2014-03-01T00:00:00Z\n"
+    data = row + row.replace(b"p1", b"p\x80") + row
+    with pytest.raises(ParseError) as exc:
+        parse_records(data, format="csv")
+    assert (exc.value.line_no, exc.value.reason) == (2, "invalid UTF-8")
+    assert len(parse_records(data, format="csv", strict=False)) == 2
+    labels = b"page_id,label\np1,pro\np2,ant\xe9\n".decode("utf-8", "surrogateescape")
+    with pytest.raises(ParseError) as exc:
+        read_labels(labels)
+    assert (exc.value.line_no, exc.value.reason) == (3, "invalid UTF-8")
+
+
 def test_parse_interns_strings():
     text = (ONE_LINE + "\n") * 3
     a, b, c = parse_records(text).records
