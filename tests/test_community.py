@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -340,3 +343,56 @@ def test_weight_scaling_leaves_partitions_unchanged():
         assert louvain(g, seed) == louvain(scaled, seed)
         assert walktrap(g)[0] == walktrap(scaled)[0]
         assert label_propagation(g, seed) == label_propagation(scaled, seed)
+
+
+# ------------------------------------------------------- pinned dendrograms
+
+
+def pinned_graphs():
+    """40 seeded weighted graphs: sparse to complete, disconnected, isolated
+    nodes, and all-equal weights (which make every tie-break decide)."""
+    graphs = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        p = rng.choice([0.1, 0.25, 0.5, 1.0])
+        kind = seed % 4  # 0: random weights, 1: equal weights, 2: two parts, 3: isolated
+        weight = rng.randint(1, 4)
+        split = rng.randint(1, n - 1)
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if kind == 2 and (i < split) != (j < split):
+                    continue
+                if kind == 3 and max(i, j) >= split:
+                    continue
+                if rng.random() < p:
+                    edges.append((i, j, weight if kind == 1 else rng.randint(1, 9)))
+        if not edges:
+            edges = [(0, 1, weight)]
+        graphs.append(ProjectionGraph([f"p{rng.randrange(1000):03d}_{i}" for i in range(n)],
+                                      edges))
+    return graphs
+
+
+# SHA-256 over every graph's Dendrogram.to_csv(), Partition.to_csv(), best step
+# and best score. A digest may only change with a CHANGES.md entry that explains
+# the behaviour change.
+PINNED = {
+    "fastgreedy": "cedc317fab4123559fac3eb393cf8f634b6a0eb90505b132eb4008fd11789b04",
+    "walktrap2": "8a005ce0e3bde9dc49fbef39de4778c3159bcda2d26eeee2b422d1eb4c90720c",
+    "walktrap4": "bd48520e569aa0249338b06ae1daacb3fae079464eebb76350657dbf28585bd3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_dendrograms_and_cuts_are_pinned(name):
+    detect = {"fastgreedy": fastgreedy,
+              "walktrap2": lambda g: walktrap(g, steps=2),
+              "walktrap4": lambda g: walktrap(g, steps=4)}[name]
+    h = hashlib.sha256()
+    for g in pinned_graphs():
+        part, dendro = detect(g)
+        h.update(dendro.to_csv().encode() + part.to_csv().encode()
+                 + f"{dendro.best_step},{dendro.best_score!r}\n".encode())
+    assert h.hexdigest() == PINNED[name]
