@@ -196,8 +196,11 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
 
     One sub-table per action kind with at least one record; a missing kind is
     omitted with a warning. The random row averages ``draws`` uniform
-    partitions into as many communities as the label map uses.
+    partitions into as many communities as the label map uses, drawn once per
+    action kind.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     k = max(len(set(labels.values())), 2)
     result: dict[str, dict[str, dict[str, float]]] = {}
     for kind in ("like", "comment"):
@@ -224,13 +227,14 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
             return Partition.from_labels(labeled_nodes,
                                          [mapping[n] for n in labeled_nodes])
 
+        randoms = [random_partition(g.nodes, k,
+                                    derived_seed(seed, "validate", kind, "random", i))
+                   for i in range(draws)]
         table: dict[str, dict[str, float]] = {"random": {}, "labeled": {},
                                               "fastgreedy": {}}
         for algo, part in parts.items():
             acc = 0.0
-            for i in range(draws):
-                rp = random_partition(g.nodes, k,
-                                      derived_seed(seed, "validate", kind, "random", i))
+            for rp in randoms:
                 acc += rand_index(rp, part)
             table["random"][algo] = acc / draws
             table["labeled"][algo] = rand_index(labeled, restricted(part))

@@ -66,11 +66,12 @@ class Dendrogram:
 
 
 class _Agglomeration:
-    """Bookkeeping shared by the agglomerative algorithms.
+    """The merge loop shared by the agglomerative algorithms.
 
-    Tracks per-community size, strength, between-community weights, a
-    representative min page id for deterministic tie-breaks, the incremental
-    modularity after each merge, and the merge list for replay.
+    Tracks per-community size, strength, between-community weights (live
+    neighbours only), a representative min page id for deterministic
+    tie-breaks, the incremental modularity after each merge, and the merge
+    list for replay.
     """
 
     def __init__(self, g: ProjectionGraph):
@@ -86,21 +87,45 @@ class _Agglomeration:
             self.between[j][i] = float(w)
         self.alive = set(range(n))
         self.merges: list[tuple[int, int, float]] = []
-        self.parent_pairs: list[tuple[int, int]] = []
         two_m = 2.0 * self.m
         self.q = -sum((s / two_m) ** 2 for s in self.strength)
         self.best_q = self.q
         self.best_step = 0
 
-    def pair_key(self, a: int, b: int):
-        ida, idb = self.minid[a], self.minid[b]
-        return (ida, idb) if ida <= idb else (idb, ida)
-
     def delta_q(self, a: int, b: int) -> float:
         w_ab = self.between[a].get(b, 0.0)
         return w_ab / self.m - self.strength[a] * self.strength[b] / (2.0 * self.m ** 2)
 
-    def merge(self, a: int, b: int) -> int:
+    def run(self, score, rescore) -> tuple[Partition, Dendrogram]:
+        """Merge the lowest-scored adjacent pair until none is left.
+
+        ``score(a, b)`` scores each edge. After ``a`` and ``b`` (scored
+        ``s_ab``) merge into ``new``, ``rescore(a, b, new, c, s_ab)`` scores
+        ``new`` against each neighbour ``c`` in ascending order. Ties go to
+        the pair with the lower min page ids. Returns the cut with maximum
+        modularity and the dendrogram, scored by re-evaluating ``modularity``.
+        """
+        heap: list = []
+
+        def push(a: int, b: int, s: float) -> None:
+            ida, idb = self.minid[a], self.minid[b]
+            heapq.heappush(heap, (s, ida, idb, a, b) if ida <= idb else (s, idb, ida, a, b))
+
+        for i, j, _w in self.g.edges():
+            push(i, j, score(i, j))
+        while heap:
+            s_ab, _k0, _k1, a, b = heapq.heappop(heap)
+            if a not in self.alive or b not in self.alive:
+                continue
+            new = self._merge(a, b)
+            for c in sorted(self.between[new]):
+                push(new, c, rescore(a, b, new, c, s_ab))
+        part = self._partition_at(self.best_step)
+        return part, Dendrogram(tuple(self.merges), self.g.n_nodes, self.best_step,
+                                modularity(self.g, part))
+
+    def _merge(self, a: int, b: int) -> int:
+        """Join ``a`` and ``b`` into a new id; ``between[a]`` and ``between[b]`` stay."""
         new = len(self.size)
         self.q += self.delta_q(a, b)
         self.size.append(self.size[a] + self.size[b])
@@ -109,9 +134,9 @@ class _Agglomeration:
         nb: dict[int, float] = {}
         for old in (a, b):
             for c, w in self.between[old].items():
-                if c in (a, b) or c not in self.alive:
-                    continue
-                nb[c] = nb.get(c, 0.0) + w
+                if c != a and c != b:
+                    nb[c] = nb.get(c, 0.0) + w
+                    del self.between[c][old]
         self.between.append(nb)
         for c, w in nb.items():
             self.between[c][new] = w
@@ -119,17 +144,16 @@ class _Agglomeration:
         self.alive.discard(b)
         self.alive.add(new)
         self.merges.append((a, b, self.q))
-        self.parent_pairs.append((a, b))
         if self.q >= self.best_q:  # ties prefer the later (merged) cut
             self.best_q = self.q
             self.best_step = len(self.merges)
         return new
 
-    def partition_at(self, step: int) -> Partition:
+    def _partition_at(self, step: int) -> Partition:
         n = self.g.n_nodes
         parent = list(range(n + step))
         for t in range(step):
-            a, b = self.parent_pairs[t]
+            a, b, _q = self.merges[t]
             parent[a] = n + t
             parent[b] = n + t
         labels = []
@@ -139,9 +163,6 @@ class _Agglomeration:
                 r = parent[r]
             labels.append(r)
         return Partition.from_labels(self.g.nodes, labels)
-
-    def dendrogram(self, best_score: float) -> Dendrogram:
-        return Dendrogram(tuple(self.merges), self.g.n_nodes, self.best_step, best_score)
 
 
 def _require_weight(g: ProjectionGraph) -> None:
@@ -161,20 +182,8 @@ def fastgreedy(g: ProjectionGraph) -> tuple[Partition, Dendrogram]:
     """
     _require_weight(g)
     agg = _Agglomeration(g)
-    heap: list = []
-    for i, j, _w in g.edges():
-        key = agg.pair_key(i, j)
-        heapq.heappush(heap, (-agg.delta_q(i, j), key[0], key[1], i, j))
-    while heap:
-        _negdq, _k0, _k1, a, b = heapq.heappop(heap)
-        if a not in agg.alive or b not in agg.alive:
-            continue
-        new = agg.merge(a, b)
-        for c in agg.between[new]:
-            key = agg.pair_key(new, c)
-            heapq.heappush(heap, (-agg.delta_q(new, c), key[0], key[1], new, c))
-    part = agg.partition_at(agg.best_step)
-    return part, agg.dendrogram(modularity(g, part))
+    return agg.run(lambda a, b: -agg.delta_q(a, b),
+                   lambda _a, _b, new, c, _s: -agg.delta_q(new, c))
 
 
 def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
@@ -284,37 +293,26 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
         factor = agg.size[a] * agg.size[b] / (agg.size[a] + agg.size[b]) / n
         return factor * float(np.dot(diff * diff, inv_d))
 
-    dsigma: dict[tuple[int, int], float] = {}
-    heap: list = []
+    dsigma: dict[tuple[int, int], float] = {}  # (lower id, higher id) -> Ward distance
 
-    def push(a: int, b: int, ds: float) -> None:
-        dsigma[(a, b) if a < b else (b, a)] = ds
-        key = agg.pair_key(a, b)
-        heapq.heappush(heap, (ds, key[0], key[1], a, b))
+    def ward(a: int, b: int) -> float:  # an edge, a < b
+        ds = dsigma[a, b] = ward_dist(a, b)
+        return ds
 
-    for i, j, _w in g.edges():
-        push(i, j, ward_dist(i, j))
+    def lance_williams(a: int, b: int, new: int, c: int, ds_ab: float) -> float:
+        if new not in vec_sum:  # the merge's first pair
+            vec_sum[new] = vec_sum.pop(a) + vec_sum.pop(b)
+        if c in agg.between[a] and c in agg.between[b]:
+            sa, sb, sc = agg.size[a], agg.size[b], agg.size[c]
+            ds = ((sa + sc) * dsigma[(a, c) if a < c else (c, a)]
+                  + (sb + sc) * dsigma[(b, c) if b < c else (c, b)]
+                  - sc * ds_ab) / (agg.size[new] + sc)
+        else:
+            ds = ward_dist(new, c)
+        dsigma[c, new] = ds  # new is the highest id
+        return ds
 
-    while heap:
-        ds_ab, _k0, _k1, a, b = heapq.heappop(heap)
-        if a not in agg.alive or b not in agg.alive:
-            continue
-        neighbors_a = set(agg.between[a]) & agg.alive
-        neighbors_b = set(agg.between[b]) & agg.alive
-        new = agg.merge(a, b)
-        vec_sum[new] = vec_sum.pop(a) + vec_sum.pop(b)
-        for c in sorted(agg.between[new]):
-            if c in neighbors_a and c in neighbors_b:
-                ka = (a, c) if a < c else (c, a)
-                kb = (b, c) if b < c else (c, b)
-                ds = ((agg.size[a] + agg.size[c]) * dsigma[ka]
-                      + (agg.size[b] + agg.size[c]) * dsigma[kb]
-                      - agg.size[c] * ds_ab) / (agg.size[new] + agg.size[c])
-            else:
-                ds = ward_dist(new, c)
-            push(new, c, ds)
-    part = agg.partition_at(agg.best_step)
-    return part, agg.dendrogram(modularity(g, part))
+    return agg.run(ward, lance_williams)
 
 
 def label_propagation(g: ProjectionGraph, seed: int = 0) -> Partition:

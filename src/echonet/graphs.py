@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 
 from .ingest import Dataset, csv_text
@@ -178,17 +180,15 @@ class ProjectionGraph:
 def project(b: BipartiteGraph) -> ProjectionGraph:
     """One-mode projection onto pages, by pair counting.
 
-    Each user adds one to every pair (i, j), i < j, of its sorted pages, in
-    page i's row: the sum over users of C(degree, 2) Counter increments at
-    the Python level, never all-pairs set intersection. Edges go in sorted
+    Page i's row counts, in one ``Counter``, the pages j > i in its users'
+    sorted page lists, never all-pairs set intersection. Edges go in sorted
     by (i, j), which keeps every ``adj[v]`` in ascending order.
     """
-    rows = [Counter() for _ in b.pages]
-    for ps in b.user_pages:
-        for k, i in enumerate(ps):
-            rows[i].update(ps[k + 1:])
-    return ProjectionGraph(b.pages, [(i, j, w) for i, row in enumerate(rows)
-                                     for j, w in sorted(row.items())])
+    up = b.user_pages
+    return ProjectionGraph(b.pages, [
+        (i, j, w) for i, users in enumerate(b.page_users)
+        for j, w in sorted(Counter(chain.from_iterable(
+            up[u][bisect_right(up[u], i):] for u in users)).items())])
 
 
 def induced_subgraph(g: ProjectionGraph, keep) -> ProjectionGraph:

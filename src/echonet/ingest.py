@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import count, islice
+from itertools import count
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -136,8 +136,6 @@ def _make_record(user, page, post, action, ts, line_no: int) -> InteractionRecor
     return InteractionRecord(user, page, post, action, epoch)
 
 
-# Lines per chunk of the JSONL fast path: bounds the parse's transient memory.
-_CHUNK_LINES = 8192
 # The scanner json.loads runs, called directly: one value per call, no wrapper.
 _scan_once = json.JSONDecoder().scan_once
 _ACTION_OF = {a: a for a in ACTIONS}  # KeyError for an unknown action
@@ -164,10 +162,10 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     with ``errors="surrogateescape"``: a line holding a byte that is not UTF-8
     is then a malformed line ("invalid UTF-8") like any other.
 
-    JSONL is read in chunks of ``_CHUNK_LINES`` lines. A chunk is decoded
-    line by line and validated column by column; a chunk in which anything
-    fails is parsed again by the per-line path (``_parse_jsonl_lines``), the
-    only source of ParseError messages and skip counts.
+    JSONL is read one line at a time by a fast reader (``_clean_record``); a
+    line it rejects is parsed again by the per-line path
+    (``_parse_jsonl_lines``), the only source of ParseError messages and skip
+    counts.
     """
     if isinstance(stream, (str, bytes)):
         if isinstance(stream, bytes):
@@ -181,13 +179,14 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     if format == "jsonl":
         strings: dict[str, str] = {}
         days: dict[str, int] = {}
-        line_no = 1
-        while chunk := list(islice(stream, _CHUNK_LINES)):
+        for line_no, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                records += _parse_jsonl_chunk(chunk, strings, days)
+                records.append(_clean_record(line, strings, days))
             except (ValueError, KeyError, TypeError, StopIteration, RecursionError):
-                skipped += _parse_jsonl_lines(chunk, line_no, strict, records)
-            line_no += len(chunk)
+                skipped += _parse_jsonl_lines([line], line_no, strict, records)
     else:
         for line_no, row in _csv_rows(stream):
             if not row:
@@ -236,56 +235,43 @@ def _parse_jsonl_lines(lines, line_no: int, strict: bool, records: list) -> int:
     return skipped
 
 
-def _parse_jsonl_chunk(lines, strings: dict, days: dict) -> list[InteractionRecord]:
-    """Records of a chunk of lines, or an exception if any line is not clean.
+def _clean_record(line: str, strings: dict, days: dict) -> InteractionRecord:
+    """The record of one stripped line, or an exception if it is not clean.
 
-    Each line is one JSON value, as ``json.loads`` reads it; fields are then
-    checked a column at a time. User, page, post and action strings are
-    interned in ``strings``; ``days`` caches the epoch of each canonical day.
+    The line must be one JSON value, as ``json.loads`` reads it. User, page,
+    post and action strings are interned in ``strings``; ``days`` caches the
+    epoch of each canonical day.
     """
-    objs = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            obj, end = _scan_once(line, 0)
-            if end != len(line) or not line.isascii() and _UNDECODABLE.search(line):
-                raise ValueError("extra data or invalid UTF-8")
-            objs.append(obj)
-    if not objs:
-        return []
-    columns = []  # o[name] raises TypeError unless o is a JSON object
-    for name in ("user", "page", "post"):
-        col = [o[name] for o in objs]
-        if set(map(type, col)) != {str} or "" in col:
-            raise TypeError(f"{name} must be a non-empty string")
-        columns.append(list(map(strings.setdefault, col, col)))
-    actions = list(map(_ACTION_OF.__getitem__, [o["action"] for o in objs]))
-    stamps = _epochs([o["ts"] for o in objs], days)
-    return list(map(InteractionRecord, *columns, actions, stamps))
+    obj, end = _scan_once(line, 0)
+    if end != len(line) or _undecodable(line):
+        raise ValueError("extra data or invalid UTF-8")
+    user, page, post = obj["user"], obj["page"], obj["post"]  # TypeError unless a dict
+    if type(user) is not str or type(page) is not str or type(post) is not str:
+        raise TypeError("user, page and post must be strings")
+    if not (user and page and post):
+        raise ValueError("user, page and post must be non-empty")
+    return InteractionRecord(strings.setdefault(user, user), strings.setdefault(page, page),
+                             strings.setdefault(post, post), _ACTION_OF[obj["action"]],
+                             _epoch(obj["ts"], days))
 
 
-def _epochs(values, days: dict) -> list[int]:
-    """parse_timestamp of each value, with canonical ``YYYY-MM-DDTHH:MM:SSZ`` read fast.
+def _epoch(v, days: dict) -> int:
+    """parse_timestamp of ``v``, with canonical ``YYYY-MM-DDTHH:MM:SSZ`` read fast.
 
     A canonical value is its day's epoch, cached in ``days``, plus exact
     lookups of its hour, minute and second (KeyError when one is out of
     range); every other form, and a day not written ``YYYY-MM-DD``, goes
     through parse_timestamp.
     """
-    out = []
-    append = out.append
-    for v in values:
-        if (type(v) is str and len(v) == 20 and v[10] == "T" and v[13] == ":"
-                and v[16] == ":" and v[19] == "Z"):
-            day = v[:10]
-            start = days.get(day)
-            if start is None and _DAY.fullmatch(day):
-                start = days[day] = parse_timestamp(day + "T00:00:00Z")
-            if start is not None:
-                append(start + _HOURS[v[11:13]] + _MINUTES[v[14:16]] + _SECONDS[v[17:19]])
-                continue
-        append(parse_timestamp(v))
-    return out
+    if (type(v) is str and len(v) == 20 and v[10] == "T" and v[13] == ":"
+            and v[16] == ":" and v[19] == "Z"):
+        day = v[:10]
+        start = days.get(day)
+        if start is None and _DAY.fullmatch(day):
+            start = days[day] = parse_timestamp(day + "T00:00:00Z")
+        if start is not None:
+            return start + _HOURS[v[11:13]] + _MINUTES[v[14:16]] + _SECONDS[v[17:19]]
+    return parse_timestamp(v)
 
 
 def _csv_rows(stream):

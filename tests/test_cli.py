@@ -259,16 +259,32 @@ def test_ingest_fuzzed_lines_through_cli(tmp_path, capsys, seed):
     broken = sorted(rng.sample(range(len(lines)), 1 + seed))
     for i in broken:
         lines[i] = break_line(lines[i], rng)
-    (tmp_path / "d.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+    bom = rng.choice([i for i in range(len(lines)) if i not in broken])
+    lines[bom] = "\ufeff".encode() + lines[bom]  # a BOM inside the file is not JSON
+    broken = sorted(broken + [bom])
     argv = ["ingest", "--out-dir", str(tmp_path), "--in", "d.jsonl", "--out", "f.jsonl",
             "--min-posts", "0"]
-    assert main(argv) == 1
+    kept = []
+    for eol in (b"\n", b"\r\n"):  # CRLF endings leave every clean line clean
+        (tmp_path / "d.jsonl").write_bytes(eol.join(lines) + eol)
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: line {broken[0] + 1}: ")
+        assert main(argv + ["--lenient"]) == 0
+        assert capsys.readouterr().err == f"warning: skipped {len(broken)} malformed lines\n"
+        kept.append((tmp_path / "f.jsonl").read_bytes())
+        assert len(kept[-1].splitlines()) == len(lines) - len(broken)
+    assert kept[0] == kept[1]
+
+
+@pytest.mark.parametrize("draws", ["0", "-1", "-2"])
+def test_validate_rejects_fewer_than_one_draw(corpus, capsys, draws):
+    rc = main(["validate", "--out-dir", str(corpus), "--in", "data.jsonl",
+               "--labels", "labels.csv", "--draws", draws, "--out", "v.csv"])
+    assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: line {broken[0] + 1}: ")
-    assert main(argv + ["--lenient"]) == 0
-    assert capsys.readouterr().err == f"warning: skipped {len(broken)} malformed lines\n"
-    kept = (tmp_path / "f.jsonl").read_text().splitlines()
-    assert len(kept) == len(lines) - len(broken)
+    assert err == [f"error: draws must be at least 1, got {draws}"]
+    assert not (corpus / "v.csv").exists()
 
 
 def test_subcommands_rerun_byte_identical(corpus):

@@ -1,6 +1,5 @@
 import csv
 import io
-import itertools
 import json
 import random
 from datetime import date, datetime, timezone
@@ -252,7 +251,7 @@ def test_labels_round_trip():
     assert read_labels(write_labels(labels)) == labels
 
 
-# --- JSONL parse: the chunked path against the per-line path -------------------
+# --- JSONL parse: the fast reader against the per-line path --------------------
 
 def per_line(text: str, strict: bool):
     """The per-line path over the whole text: (records, skipped) or ParseError."""
@@ -261,10 +260,9 @@ def per_line(text: str, strict: bool):
     return records, skipped
 
 
-def assert_same_as_per_line(text: str, monkeypatch):
-    """parse_records equals the per-line path, in both modes and at any chunk size."""
-    for chunk_lines, strict in itertools.product((1, 3, 8192), (True, False)):
-        monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk_lines)
+def assert_same_as_per_line(text: str):
+    """parse_records equals the per-line path, in both modes."""
+    for strict in (True, False):
         try:
             expected = per_line(text, strict)
         except ParseError as exc:
@@ -277,7 +275,7 @@ def assert_same_as_per_line(text: str, monkeypatch):
             assert [type(r.ts) for r in d.records] == [int] * len(d)
 
 
-def test_two_objects_on_a_line_and_one_object_over_two_lines(monkeypatch):
+def test_two_objects_on_a_line_and_one_object_over_two_lines():
     obj = json.loads(ONE_LINE)
     head, tail = ONE_LINE[:40], ONE_LINE[40:]
     text = "\n".join([ONE_LINE, ONE_LINE + ONE_LINE, ONE_LINE, head, tail,
@@ -288,14 +286,13 @@ def test_two_objects_on_a_line_and_one_object_over_two_lines(monkeypatch):
     d = parse_records(text, strict=False)
     assert d.skipped_lines == 3
     assert [r.user for r in d.records] == ["u1", "u1", "u2"]
-    assert_same_as_per_line(text, monkeypatch)
+    assert_same_as_per_line(text)
 
 
-def test_bad_line_on_each_side_of_a_chunk_boundary(monkeypatch):
-    monkeypatch.setattr(ingest, "_CHUNK_LINES", 4)
+def test_bad_line_on_each_side_of_a_chunk_boundary():
     lines = [json.dumps({**json.loads(ONE_LINE), "user": f"u{i}"}) for i in range(1, 11)]
-    lines[3] = "not json"         # last line of the first chunk
-    lines[4] = lines[4][:-1]      # first line of the second chunk, truncated
+    lines[3] = "not json"
+    lines[4] = lines[4][:-1]      # truncated
     text = "\n".join(lines) + "\n"
     with pytest.raises(ParseError) as exc:
         parse_records(text)
@@ -307,7 +304,7 @@ def test_bad_line_on_each_side_of_a_chunk_boundary(monkeypatch):
     with pytest.raises(ParseError) as exc:
         parse_records("\n".join(lines))
     assert exc.value.line_no == 5
-    assert_same_as_per_line(text, monkeypatch)
+    assert_same_as_per_line(text)
 
 
 @pytest.mark.parametrize("text", [
@@ -316,8 +313,8 @@ def test_bad_line_on_each_side_of_a_chunk_boundary(monkeypatch):
     "\ufeff" + ONE_LINE + "\n" + ONE_LINE + "\n",
     ONE_LINE + "\n\ufeff" + ONE_LINE + "\n",
 ])
-def test_blank_lines_crlf_and_bom_match_per_line(text, monkeypatch):
-    assert_same_as_per_line(text, monkeypatch)
+def test_blank_lines_crlf_and_bom_match_per_line(text):
+    assert_same_as_per_line(text)
 
 
 def test_crlf_file_and_leading_bom_file(tmp_path):
@@ -381,20 +378,19 @@ def mutate(line: str, rng: random.Random) -> str:
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_mutation_oracle_matches_per_line(seed, monkeypatch):
+def test_mutation_oracle_matches_per_line(seed):
     rng = random.Random(seed)
     cfg = SynthConfig(users_per_side=(8, 8), pages_per_side=(3, 2),
                       actions_per_user=("fixed", 4), posts_per_page=3, seed=seed)
     lines = serialize_records(generate(cfg)[0]).splitlines()
     for i in rng.sample(range(len(lines)), 1 + seed * 3):
         lines[i] = mutate(lines[i], rng)
-    assert_same_as_per_line("\n".join(lines) + "\n", monkeypatch)
+    assert_same_as_per_line("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("ts", TIMESTAMPS)
-def test_every_timestamp_form_matches_per_line(ts, monkeypatch):
-    assert_same_as_per_line(json.dumps({**json.loads(ONE_LINE), "ts": ts}) + "\n",
-                            monkeypatch)
+def test_every_timestamp_form_matches_per_line(ts):
+    assert_same_as_per_line(json.dumps({**json.loads(ONE_LINE), "ts": ts}) + "\n")
 
 
 def non_utf8_lines() -> bytes:
@@ -405,7 +401,7 @@ def non_utf8_lines() -> bytes:
                      line.replace(b'"u1"', b'"u\xc3\xa9"'), b"\n"])
 
 
-def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, monkeypatch):
+def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path):
     data = non_utf8_lines()
     path = tmp_path / "d.jsonl"
     path.write_bytes(data)
@@ -420,7 +416,7 @@ def test_non_utf8_byte_is_a_parse_error_at_its_line(tmp_path, monkeypatch):
         assert (exc.value.line_no, exc.value.reason) == (2, "invalid UTF-8")
         d = parse(False)
         assert d.skipped_lines == 2 and [r.user for r in d.records] == ["u1", "u1", "u\xe9"]
-    assert_same_as_per_line(data.decode("utf-8", "surrogateescape"), monkeypatch)
+    assert_same_as_per_line(data.decode("utf-8", "surrogateescape"))
 
 
 def test_non_utf8_byte_in_csv_and_labels():
