@@ -197,7 +197,7 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
     One sub-table per action kind with at least one record; a missing kind is
     omitted with a warning. The random row averages ``draws`` uniform
     partitions into as many communities as the label map uses, drawn once per
-    action kind.
+    action kind and added to every algorithm's sum as it is drawn.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
@@ -227,16 +227,16 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
             return Partition.from_labels(labeled_nodes,
                                          [mapping[n] for n in labeled_nodes])
 
-        randoms = [random_partition(g.nodes, k,
-                                    derived_seed(seed, "validate", kind, "random", i))
-                   for i in range(draws)]
+        sums = dict.fromkeys(parts, 0.0)
+        for i in range(draws):
+            rp = random_partition(g.nodes, k,
+                                  derived_seed(seed, "validate", kind, "random", i))
+            for algo, part in parts.items():
+                sums[algo] += rand_index(rp, part)
         table: dict[str, dict[str, float]] = {"random": {}, "labeled": {},
                                               "fastgreedy": {}}
         for algo, part in parts.items():
-            acc = 0.0
-            for rp in randoms:
-                acc += rand_index(rp, part)
-            table["random"][algo] = acc / draws
+            table["random"][algo] = sums[algo] / draws
             table["labeled"][algo] = rand_index(labeled, restricted(part))
             table["fastgreedy"][algo] = rand_index(parts["fastgreedy"], part)
         result[KIND_LABEL[kind]] = table
@@ -282,6 +282,8 @@ def cmd_polarize(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
 
 
 def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+    if args.eval_points < 1:
+        raise ValueError(f"eval-points must be at least 1, got {args.eval_points}")
     engagement = user_engagement(d, labels)
     by_side: dict[str, list] = {}
     for e in engagement:

@@ -19,14 +19,13 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from .timebins import (
-    SECONDS_PER_DAY,
     day_end,
     day_start,
-    format_timestamp,
     parse_date,
     parse_timestamp,
     quarter_of,
     quarter_range,
+    timestamp_formatter,
 )
 
 ACTIONS = ("post", "like", "comment")
@@ -136,14 +135,11 @@ def _make_record(user, page, post, action, ts, line_no: int) -> InteractionRecor
     return InteractionRecord(user, page, post, action, epoch)
 
 
-# The scanner json.loads runs, called directly: one value per call, no wrapper.
-_scan_once = json.JSONDecoder().scan_once
-_ACTION_OF = {a: a for a in ACTIONS}  # KeyError for an unknown action
-# Seconds of the "HH", "MM" and "SS" fields of a canonical timestamp.
-_HOURS = {f"{h:02d}": 3600 * h for h in range(24)}
-_MINUTES = {f"{m:02d}": 60 * m for m in range(60)}
-_SECONDS = {f"{s:02d}": s for s in range(60)}
-_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# The line serialize_records writes. Its strings are printable ASCII other than
+# the quote and the backslash, so json.loads reads a matched line to the same values.
+_CANONICAL_LINE = re.compile(
+    r'\{"user":"([ !#-\[\]-~]+)","page":"([ !#-\[\]-~]+)","post":"([ !#-\[\]-~]+)",'
+    r'"action":"(post|like|comment)","ts":"([ !#-\[\]-~]*)"\}')
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -162,8 +158,9 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     with ``errors="surrogateescape"``: a line holding a byte that is not UTF-8
     is then a malformed line ("invalid UTF-8") like any other.
 
-    JSONL is read one line at a time by a fast reader (``_clean_record``); a
-    line it rejects is parsed again by the per-line path
+    JSONL is read one line at a time. A canonical line (``_CANONICAL_LINE``)
+    becomes a record directly; any other line, or one whose timestamp
+    parse_timestamp rejects, goes to the per-line path
     (``_parse_jsonl_lines``), the only source of ParseError messages and skip
     counts.
     """
@@ -177,15 +174,19 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     records: list[InteractionRecord] = []
     skipped = 0
     if format == "jsonl":
-        strings: dict[str, str] = {}
-        days: dict[str, int] = {}
+        intern = {}.setdefault
         for line_no, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
                 continue
+            m = _CANONICAL_LINE.fullmatch(line)
             try:
-                records.append(_clean_record(line, strings, days))
-            except (ValueError, KeyError, TypeError, StopIteration, RecursionError):
+                if m is None:
+                    raise ValueError("not a canonical line")
+                *fields, ts = m.groups()
+                records.append(InteractionRecord(*map(intern, fields, fields),
+                                                 parse_timestamp(ts)))
+            except ValueError:
                 skipped += _parse_jsonl_lines([line], line_no, strict, records)
     else:
         for line_no, row in _csv_rows(stream):
@@ -235,45 +236,6 @@ def _parse_jsonl_lines(lines, line_no: int, strict: bool, records: list) -> int:
     return skipped
 
 
-def _clean_record(line: str, strings: dict, days: dict) -> InteractionRecord:
-    """The record of one stripped line, or an exception if it is not clean.
-
-    The line must be one JSON value, as ``json.loads`` reads it. User, page,
-    post and action strings are interned in ``strings``; ``days`` caches the
-    epoch of each canonical day.
-    """
-    obj, end = _scan_once(line, 0)
-    if end != len(line) or _undecodable(line):
-        raise ValueError("extra data or invalid UTF-8")
-    user, page, post = obj["user"], obj["page"], obj["post"]  # TypeError unless a dict
-    if type(user) is not str or type(page) is not str or type(post) is not str:
-        raise TypeError("user, page and post must be strings")
-    if not (user and page and post):
-        raise ValueError("user, page and post must be non-empty")
-    return InteractionRecord(strings.setdefault(user, user), strings.setdefault(page, page),
-                             strings.setdefault(post, post), _ACTION_OF[obj["action"]],
-                             _epoch(obj["ts"], days))
-
-
-def _epoch(v, days: dict) -> int:
-    """parse_timestamp of ``v``, with canonical ``YYYY-MM-DDTHH:MM:SSZ`` read fast.
-
-    A canonical value is its day's epoch, cached in ``days``, plus exact
-    lookups of its hour, minute and second (KeyError when one is out of
-    range); every other form, and a day not written ``YYYY-MM-DD``, goes
-    through parse_timestamp.
-    """
-    if (type(v) is str and len(v) == 20 and v[10] == "T" and v[13] == ":"
-            and v[16] == ":" and v[19] == "Z"):
-        day = v[:10]
-        start = days.get(day)
-        if start is None and _DAY.fullmatch(day):
-            start = days[day] = parse_timestamp(day + "T00:00:00Z")
-        if start is not None:
-            return start + _HOURS[v[11:13]] + _MINUTES[v[14:16]] + _SECONDS[v[17:19]]
-    return parse_timestamp(v)
-
-
 def _csv_rows(stream):
     """Yield ``(line_no, row)`` per CSV row, numbered from 1.
 
@@ -311,9 +273,6 @@ def csv_text(header, rows) -> str:
 
 
 _SORT_KEY = attrgetter("ts", "page", "post", "user", "action")  # InteractionRecord.sort_key
-# "HH:MM:" of each minute of the day and "SSZ" of each second of the minute.
-_HH_MM = [f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60)]
-_SS_Z = [f"{s:02d}Z" for s in range(60)]
 
 
 def serialize_records(d: Dataset, format: str = "jsonl") -> str:
@@ -328,7 +287,7 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
     ordered = sorted(d.records, key=_SORT_KEY)
-    stamp = _timestamp_formatter()
+    stamp = timestamp_formatter()
     if format == "csv":
         return csv_text(CSV_HEADER, ((r.user, r.page, r.post, r.action, stamp(r.ts))
                                      for r in ordered))
@@ -338,20 +297,6 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
         f'{{"user":{quoted[r.user]},"page":{quoted[r.page]},"post":{quoted[r.post]},'
         f'"action":{quoted[r.action]},"ts":"{stamp(r.ts)}"}}\n'
         for r in ordered])
-
-
-def _timestamp_formatter():
-    """format_timestamp with each UTC day's ``YYYY-MM-DDT`` prefix formatted once."""
-    days: dict[int, str] = {}
-
-    def stamp(ts: int) -> str:
-        day, second = divmod(ts, SECONDS_PER_DAY)
-        prefix = days.get(day)
-        if prefix is None:
-            prefix = days[day] = format_timestamp(day * SECONDS_PER_DAY)[:-len("00:00:00Z")]
-        return prefix + _HH_MM[second // 60] + _SS_Z[second % 60]
-
-    return stamp
 
 
 def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,

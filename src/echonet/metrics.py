@@ -229,6 +229,8 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
     n = len(x)
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
+    if not math.isfinite(span):
+        raise ValueError(f"span must be a finite number, got {span}")
     k = int(math.ceil(span * n))
     if k < 2:
         raise ValueError(f"span {span} covers fewer than 2 of the {n} points")

@@ -59,7 +59,8 @@ class SynthConfig:
             if len(self.actions_per_user) != 2 or self.actions_per_user[1] < 0:
                 raise ValueError(f"bad fixed activity spec {self.actions_per_user}")
         elif kind == "lognormal":
-            if len(self.actions_per_user) != 3 or self.actions_per_user[2] < 0:
+            if (len(self.actions_per_user) != 3 or self.actions_per_user[2] < 0
+                    or not all(map(math.isfinite, self.actions_per_user[1:]))):
                 raise ValueError(f"bad lognormal activity spec {self.actions_per_user}")
         else:
             raise ValueError(f"unknown activity distribution {kind!r}")
@@ -71,6 +72,8 @@ class SynthConfig:
         start, end = parse_date(self.time_range[0]), parse_date(self.time_range[1])
         if start > end:
             raise ValueError(f"empty time range {start}..{end}")
+        if start.year < 1000:  # the years canonical timestamps can hold
+            raise ValueError(f"time range {start}..{end} is outside 1000-01-01..9999-12-31")
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def generate(config: SynthConfig):
                 n_act = int(config.actions_per_user[1])
             else:
                 _, mu, sigma = config.actions_per_user
-                n_act = int(min(math.ceil(rng.lognormal(mu, sigma)), ACTIVITY_CAP))
+                n_act = math.ceil(min(rng.lognormal(mu, sigma), ACTIVITY_CAP))
             if n_act == 0:
                 continue
 

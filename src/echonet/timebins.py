@@ -1,4 +1,5 @@
-"""Calendar helpers shared by ingestion and the temporal analyses.
+"""Calendar helpers shared by ingestion and the temporal analyses, and the only
+reader and writer of the canonical timestamp ``YYYY-MM-DDTHH:MM:SSZ``.
 
 All instants are UTC epoch seconds (ints). Calendar bins are tuples so they
 sort naturally: quarters are (year, 1..4), months (year, 1..12), ISO weeks
@@ -9,27 +10,49 @@ from __future__ import annotations
 
 import re
 from datetime import date, datetime, timezone
+from functools import lru_cache
 
 _ISO_Z = re.compile(r"Z$")
+_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 SECONDS_PER_DAY = 86400
+_EPOCH_DAY = date(1970, 1, 1).toordinal()
 
-# Years 1000-9999: the instants whose canonical form format_timestamp writes
-# and parse_timestamp reads back.
-MIN_TS = int(datetime(1000, 1, 1, tzinfo=timezone.utc).timestamp())
-MAX_TS = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
+# Seconds of the "HH", "MM" and "SS" fields of a canonical timestamp.
+_HOURS = {f"{h:02d}": 3600 * h for h in range(24)}
+_MINUTES = {f"{m:02d}": 60 * m for m in range(60)}
+_SECONDS = {f"{s:02d}": s for s in range(60)}
+# "HH:MM:" of each minute of the day and "SSZ" of each second of the minute.
+_HH_MM = [f"{h}:{m}:" for h in _HOURS for m in _MINUTES]
+_SS_Z = [f"{s}Z" for s in _SECONDS]
 
 
 def parse_timestamp(value) -> int:
     """Parse an ISO-8601 UTC instant or integer epoch seconds to epoch seconds.
 
     Raises ValueError for malformed values and for instants outside the
-    years 1000-9999.
+    years 1000-9999. The canonical form ``YYYY-MM-DDTHH:MM:SSZ`` is read
+    from its fields; every other form goes through ``_epoch_seconds``.
     """
-    ts = _epoch_seconds(value)
+    try:  # the canonical form, field by field; value[10::3] is its "T::Z"
+        if type(value) is not str or len(value) != 20 or value[10::3] != "T::Z":
+            raise KeyError(value)
+        ts = (_day_seconds(value[:10]) + _HOURS[value[11:13]]
+              + _MINUTES[value[14:16]] + _SECONDS[value[17:19]])
+    except (KeyError, TypeError):  # not canonical, a field out of range, or no such day
+        ts = _epoch_seconds(value)
     if not MIN_TS <= ts <= MAX_TS:
         raise ValueError(f"timestamp outside the years 1000-9999: {value!r}")
     return ts
+
+
+@lru_cache(maxsize=1 << 16)
+def _day_seconds(day: str) -> int | None:
+    """Epoch of midnight UTC of a ``YYYY-MM-DD`` day, or None if it is not one."""
+    try:
+        return day_start(date.fromisoformat(day)) if _DAY.fullmatch(day) else None
+    except ValueError:
+        return None
 
 
 def _epoch_seconds(value) -> int:
@@ -59,9 +82,24 @@ def _epoch_seconds(value) -> int:
     raise ValueError(f"not a timestamp: {value!r}")
 
 
+def timestamp_formatter():
+    """format_timestamp, building each UTC day's ``YYYY-MM-DDT`` once per formatter
+    (not once per module, so no serialization leaves its days in memory)."""
+    days: dict[int, str] = {}
+
+    def stamp(ts: int) -> str:
+        day, second = divmod(ts, SECONDS_PER_DAY)
+        prefix = days.get(day)
+        if prefix is None:
+            prefix = days[day] = date.fromordinal(day + _EPOCH_DAY).isoformat() + "T"
+        return prefix + _HH_MM[second // 60] + _SS_Z[second % 60]
+
+    return stamp
+
+
 def format_timestamp(ts: int) -> str:
     """Canonical ISO-8601 form, always UTC with Z suffix."""
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return timestamp_formatter()(ts)
 
 
 def parse_date(value) -> date:
@@ -73,7 +111,7 @@ def parse_date(value) -> date:
 
 
 def day_start(d: date) -> int:
-    return int(datetime(d.year, d.month, d.day, tzinfo=timezone.utc).timestamp())
+    return (d.toordinal() - _EPOCH_DAY) * SECONDS_PER_DAY
 
 
 def day_end(d: date) -> int:
@@ -81,26 +119,33 @@ def day_end(d: date) -> int:
     return day_start(d) + SECONDS_PER_DAY - 1
 
 
-def _utc(ts: int) -> datetime:
-    return datetime.fromtimestamp(ts, tz=timezone.utc)
+# Years 1000-9999: the instants whose canonical form format_timestamp writes
+# and parse_timestamp reads back.
+MIN_TS = day_start(date(1000, 1, 1))
+MAX_TS = day_end(date(9999, 12, 31))
+
+
+def _date(ts: int) -> date:
+    """The UTC date of an instant."""
+    return date.fromordinal(ts // SECONDS_PER_DAY + _EPOCH_DAY)
 
 
 def quarter_of(ts: int) -> tuple[int, int]:
-    dt = _utc(ts)
-    return (dt.year, (dt.month - 1) // 3 + 1)
+    d = _date(ts)
+    return (d.year, (d.month - 1) // 3 + 1)
 
 
 def month_of(ts: int) -> tuple[int, int]:
-    dt = _utc(ts)
-    return (dt.year, dt.month)
+    d = _date(ts)
+    return (d.year, d.month)
 
 
 def year_of(ts: int) -> tuple[int]:
-    return (_utc(ts).year,)
+    return (_date(ts).year,)
 
 
 def iso_week_of(ts: int) -> tuple[int, int]:
-    iso = _utc(ts).isocalendar()
+    iso = _date(ts).isocalendar()
     return (iso[0], iso[1])
 
 

@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import echonet
+from echonet import cli
 from echonet.cli import main
 from echonet.ingest import serialize_records
 from echonet.synth import SynthConfig, generate
@@ -285,6 +287,57 @@ def test_validate_rejects_fewer_than_one_draw(corpus, capsys, draws):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: draws must be at least 1, got {draws}"]
     assert not (corpus / "v.csv").exists()
+
+
+def test_validate_holds_one_random_partition_at_a_time(corpus, monkeypatch):
+    alive, draw_one = [], cli.random_partition
+
+    def draw(*args):
+        assert sum(ref() is not None for ref in alive) <= 1
+        part = draw_one(*args)
+        alive.append(weakref.ref(part))
+        return part
+
+    monkeypatch.setattr(cli, "random_partition", draw)
+    run("validate", "--out-dir", corpus, "--in", "data.jsonl", "--labels", "labels.csv",
+        "--draws", "5", "--out", "v.csv")
+    assert len(alive) == 10
+
+
+TINY_SYNTH = ["synth", "--users", "2,2", "--pages", "1,1", "--posts-per-page", "1",
+              "--out", "data.jsonl", "--truth", "labels.csv"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--from", "0999-01-01", "--to", "0999-12-31"],
+     "time range 0999-01-01..0999-12-31 is outside 1000-01-01..9999-12-31"),
+    (["--actions", "lognormal:nan,1"], "bad lognormal activity spec ('lognormal', nan, 1.0)"),
+    (["--actions", "lognormal:1,inf"], "bad lognormal activity spec ('lognormal', 1.0, inf)"),
+])
+def test_synth_rejects_what_it_cannot_write(tmp_path, capsys, flags, message):
+    assert main(TINY_SYNTH + ["--out-dir", str(tmp_path)] + flags) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "data.jsonl").exists()
+
+
+def test_synth_caps_an_overflowing_lognormal_draw(tmp_path):
+    run(*TINY_SYNTH, "--out-dir", tmp_path, "--actions", "lognormal:800,1")
+    users = [json.loads(line)["user"] for line in open(tmp_path / "data.jsonl")]
+    assert len(users) == 2 + 4 * 5000 and len(set(users)) == 2 + 4
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--span", "inf", "span must be a finite number, got inf"),
+    ("--span", "nan", "span must be a finite number, got nan"),
+    ("--eval-points", "-3", "eval-points must be at least 1, got -3"),
+    ("--eval-points", "0", "eval-points must be at least 1, got 0"),
+])
+def test_exposure_rejects_bad_span_and_eval_points(corpus, capsys, flag, value, message):
+    rc = main(["exposure", "--out-dir", str(corpus), "--in", "data.jsonl",
+               "--labels", "labels.csv", flag, value, "--out", "curve.csv"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (corpus / "curve.csv").exists()
 
 
 def test_subcommands_rerun_byte_identical(corpus):

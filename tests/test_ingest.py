@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import random
+from dataclasses import replace
 from datetime import date, datetime, timezone
 
 import pytest
 
-from echonet import ingest
+from echonet import ingest, timebins
 from echonet.ingest import (
     Dataset,
     InteractionRecord,
@@ -19,7 +20,17 @@ from echonet.ingest import (
     write_labels,
 )
 from echonet.synth import SynthConfig, generate
-from echonet.timebins import format_timestamp
+from echonet.timebins import (
+    MAX_TS,
+    MIN_TS,
+    day_start,
+    format_timestamp,
+    iso_week_of,
+    month_of,
+    parse_timestamp,
+    quarter_of,
+    year_of,
+)
 
 from conftest import dataset, random_dataset, rec
 
@@ -391,6 +402,80 @@ def test_mutation_oracle_matches_per_line(seed):
 @pytest.mark.parametrize("ts", TIMESTAMPS)
 def test_every_timestamp_form_matches_per_line(ts):
     assert_same_as_per_line(json.dumps({**json.loads(ONE_LINE), "ts": ts}) + "\n")
+
+
+def outcome(parse, value):
+    """The epoch ``parse`` gives for ``value``, or its ValueError message."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_parse(value) -> int:
+    """parse_timestamp as it was: _epoch_seconds plus the year range check."""
+    ts = timebins._epoch_seconds(value)
+    if not MIN_TS <= ts <= MAX_TS:
+        raise ValueError(f"timestamp outside the years 1000-9999: {value!r}")
+    return ts
+
+
+def test_timestamp_oracle():
+    """parse_timestamp against _epoch_seconds, format and bins against datetime."""
+    rng = random.Random(20)
+    shaped = [f"{rng.randrange(10000):04d}-{rng.randrange(14):02d}-{rng.randrange(33):02d}"
+              f"T{rng.randrange(26):02d}:{rng.randrange(62):02d}:{rng.randrange(62):02d}Z"
+              for _ in range(100_000)]
+    for value in TIMESTAMPS + shaped:
+        assert outcome(parse_timestamp, value) == outcome(reference_parse, value), value
+    assert sum(isinstance(outcome(parse_timestamp, v), int) for v in shaped) > 40_000
+
+    week_53 = [date(2015, 12, 28), date(2016, 1, 3), date(2020, 12, 31), date(2021, 1, 3),
+               date(1001, 12, 28), date(9998, 12, 31)]
+    instants = [MIN_TS, MAX_TS, -1, 0] + [day_start(d) + s for d in week_53
+                                          for s in (0, 86399)]
+    instants += [rng.randint(MIN_TS, MAX_TS) for _ in range(20_000)]
+    for ts in instants:
+        dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+        assert format_timestamp(ts) == dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert quarter_of(ts) == (dt.year, (dt.month - 1) // 3 + 1)
+        assert month_of(ts) == (dt.year, dt.month)
+        assert year_of(ts) == (dt.year,)
+        assert iso_week_of(ts) == tuple(dt.isocalendar()[:2])
+    assert {iso_week_of(day_start(d))[1] for d in week_53} == {53}
+
+
+def test_valid_lines_that_are_not_canonical_read_the_same():
+    """Reordered keys, spaced separators, integer ts and raw non-ASCII users."""
+    cfg = SynthConfig(users_per_side=(6, 6), pages_per_side=(3, 2),
+                      actions_per_user=("fixed", 5), posts_per_page=4, seed=11)
+    records = [replace(r, user=r.user + "\u00e9") if r.user.endswith("1") else r
+               for r in generate(cfg)[0].records]
+    canonical = serialize_records(Dataset(records))
+    lines = []
+    for i, line in enumerate(canonical.splitlines()):
+        obj = json.loads(line)
+        if not obj["user"].isascii():
+            lines.append(json.dumps(obj, separators=(",", ":"), ensure_ascii=False))
+        elif i % 3 == 0:
+            lines.append(json.dumps(dict(reversed(obj.items())), separators=(",", ":")))
+        elif i % 3 == 1:
+            lines.append(json.dumps(obj))
+        else:
+            lines.append(json.dumps({**obj, "ts": parse_timestamp(obj["ts"])},
+                                    separators=(",", ":")))
+    assert not any(map(ingest._CANONICAL_LINE.fullmatch, lines))
+    text = "\n".join(lines) + "\n"
+    assert_same_as_per_line(text)
+    assert parse_records(text).records == parse_records(canonical).records
+
+
+@pytest.mark.parametrize("old, new", [('"u1"', '"u\u00e9"'), ('"x1"', '"x\x7f"'),
+                                      ('"2014', '"\t2014'), ('Z"', 'Z\x1f"')])
+def test_raw_characters_beyond_printable_ascii_match_per_line(old, new):
+    line = ONE_LINE.replace(old, new)
+    assert not ingest._CANONICAL_LINE.fullmatch(line)
+    assert_same_as_per_line(line + "\n")
 
 
 def non_utf8_lines() -> bytes:
