@@ -32,11 +32,11 @@ for e in engagement:
 
 print("\nmonthly page variety vs standardized activity (loess, 95% band):")
 grid = np.linspace(0.0, 1.0, 6)
+pages = pages_per_window(dataset, "month")
 for side in sorted(by_side):
     members = by_side[side]
     x = np.array([e.activity_std for e in members])
-    y = np.array([pages_per_window(dataset, e.user, "month")
-                  for e in members], dtype=float)
+    y = np.array([pages[e.user] for e in members], dtype=float)
     fit, lo, hi = loess_fit(x, y, span=0.75, eval_points=grid)
     print(f"  {side}:")
     for g, f, l, h in zip(grid, fit, lo, hi):

@@ -32,6 +32,8 @@ from .ingest import (
     write_labels,
 )
 from .metrics import (
+    MAX_COUNT,
+    check_count,
     loess_fit,
     pages_per_window,
     polarization_histogram,
@@ -199,8 +201,7 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
     partitions into as many communities as the label map uses, drawn once per
     action kind and added to every algorithm's sum as it is drawn.
     """
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
+    check_count("draws", draws, 1)
     k = max(len(set(labels.values())), 2)
     result: dict[str, dict[str, dict[str, float]]] = {}
     for kind in ("like", "comment"):
@@ -282,9 +283,9 @@ def cmd_polarize(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
 
 
 def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
-    if args.eval_points < 1:
-        raise ValueError(f"eval-points must be at least 1, got {args.eval_points}")
+    check_count("eval-points", args.eval_points, 1)
     engagement = user_engagement(d, labels)
+    pages = pages_per_window(d, args.window)
     by_side: dict[str, list] = {}
     for e in engagement:
         by_side.setdefault(e.community, []).append(e)
@@ -294,8 +295,7 @@ def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
         if len(members) < 3:
             warnings.warn(f"community {side!r} has fewer than 3 users; skipped")
             continue
-        counts = np.array([pages_per_window(d, e.user, args.window)
-                           for e in members], dtype=float)
+        counts = np.array([pages[e.user] for e in members], dtype=float)
         if args.standardize_pages:
             lo, hi = counts.min(), counts.max()
             counts = (counts - lo) / (hi - lo) if hi > lo else counts * 0.0
@@ -431,20 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", cmd_validate, infile, labels,
             help="partition-similarity validation matrix")
     p.add_argument("--draws", type=int, default=100,
-                   help="random partitions averaged in the random row")
+                   help=f"random partitions averaged in the random row (1..{MAX_COUNT})")
 
     p = add("polarize", cmd_polarize, infile, labels, action,
             help="per-user polarization density")
     p.add_argument("--sides", choices=("labels", "detected"), default="labels")
     p.add_argument("--min-actions", type=int, default=10)
-    p.add_argument("--bins", type=int, default=21)
+    p.add_argument("--bins", type=int, default=21,
+                   help=f"histogram bins over [-1, 1] (2..{MAX_COUNT})")
     p.add_argument("--profiles", default=None, help="optional per-user CSV")
 
     p = add("exposure", cmd_exposure, infile, labels,
             help="selective-exposure curves with 95%% confidence bands")
     p.add_argument("--window", choices=("year", "month", "week"), default="week")
     p.add_argument("--span", type=float, default=0.75)
-    p.add_argument("--eval-points", type=int, default=25)
+    p.add_argument("--eval-points", type=int, default=25,
+                   help=f"grid points per fitted curve (1..{MAX_COUNT})")
     p.add_argument("--standardize-pages", action="store_true")
 
     add("timeline", cmd_timeline, infile, labels,

@@ -90,24 +90,16 @@ class BipartiteGraph:
         return len(self.page_users[self.page_index[page]])
 
 
-def build_bipartite(d: Dataset, action: str, window=None) -> BipartiteGraph:
+def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
     """Collapse records of one kind into distinct (user, page) edges.
 
-    ``window`` is an inclusive (epoch_lo, epoch_hi) pair; the whole dataset is
-    used when absent. Page nodes cover every page in the dataset; user nodes
-    cover users with at least one edge.
+    Page nodes cover every page in the dataset; user nodes cover users with at
+    least one edge.
     """
     if action not in ("like", "comment"):
         raise ValueError(f"action must be like or comment, got {action!r}")
-    pages = sorted(d.by_page)
-    lo, hi = window if window is not None else (None, None)
-    pairs = set()
-    for r in d.records:
-        if r.action != action:
-            continue
-        if window is not None and not (lo <= r.ts <= hi):
-            continue
-        pairs.add((r.user, r.page))
+    pages = sorted(d.pages)
+    pairs = {(r.user, r.page) for r in d.records if r.action == action}
     users = sorted({u for u, _ in pairs})
     uidx = {u: i for i, u in enumerate(users)}
     pidx = {p: i for i, p in enumerate(pages)}

@@ -1,4 +1,4 @@
-"""Interaction-log ingestion: parsing, filtering, indexing and summaries.
+"""Interaction-log ingestion: parsing, filtering and summaries.
 
 The interchange format is JSONL, one object per line with keys
 user/page/post/action/ts; CSV with the fixed column order
@@ -62,30 +62,24 @@ class InteractionRecord:
 
 
 class Dataset:
-    """Immutable indexed collection of interaction records.
+    """Immutable collection of interaction records.
 
-    Secondary indices: by page and by user (like/comment actors only). Users
-    are defined as the actors of like and comment actions; post records carry
-    the page's publisher as actor and do not contribute to the user set.
+    Users are defined as the actors of like and comment actions; post records
+    carry the page's publisher as actor and do not contribute to the user set.
+    ``skipped_lines`` counts the malformed lines a lenient parse skipped.
     """
 
-    def __init__(self, records):
+    def __init__(self, records, skipped_lines: int = 0):
         self.records: tuple[InteractionRecord, ...] = tuple(records)
-        self.by_page: dict[str, list[int]] = {}
-        self.by_user: dict[str, list[int]] = {}
-        self.skipped_lines = 0
-        for i, r in enumerate(self.records):
-            self.by_page.setdefault(r.page, []).append(i)
-            if r.action in ENGAGEMENT_ACTIONS:
-                self.by_user.setdefault(r.user, []).append(i)
+        self.skipped_lines = skipped_lines
 
     @property
     def pages(self) -> set[str]:
-        return set(self.by_page)
+        return {r.page for r in self.records}
 
     @property
     def users(self) -> set[str]:
-        return set(self.by_user)
+        return {r.user for r in self.records if r.action in ENGAGEMENT_ACTIONS}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -96,19 +90,6 @@ class Dataset:
             return []
         ts = [r.ts for r in self.records]
         return quarter_range(quarter_of(min(ts)), quarter_of(max(ts)))
-
-    def validate(self) -> None:
-        """Raise ValueError unless the secondary indices match the record store."""
-        if sum(len(v) for v in self.by_page.values()) != len(self.records):
-            raise ValueError("by_page index incomplete")
-        for page, idxs in self.by_page.items():
-            if any(self.records[i].page != page for i in idxs):
-                raise ValueError(f"by_page index wrong for page {page!r}")
-        for user, idxs in self.by_user.items():
-            for i in idxs:
-                r = self.records[i]
-                if r.user != user or r.action not in ENGAGEMENT_ACTIONS:
-                    raise ValueError(f"by_user index wrong for user {user!r}")
 
 
 def _record_from_obj(obj, line_no: int) -> InteractionRecord:
@@ -150,7 +131,7 @@ def _undecodable(text: str) -> bool:
 
 
 def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset:
-    """Parse a line-oriented text stream into an indexed Dataset.
+    """Parse a line-oriented text stream into a Dataset.
 
     In strict mode a malformed line raises ParseError with the line number;
     in lenient mode bad lines are skipped and counted in
@@ -205,9 +186,7 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
                     raise
                 skipped += 1
 
-    ds = Dataset(records)
-    ds.skipped_lines = skipped
-    return ds
+    return Dataset(records, skipped)
 
 
 def _parse_jsonl_lines(lines, line_no: int, strict: bool, records: list) -> int:
@@ -353,40 +332,32 @@ def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
     Likers (commenters) are unique users with at least one like (comment) on a
     page of the label; users is the union of both. Pages missing from
     ``labels`` are reported under a separate "unlabeled" row, never merged.
+    Rows: pro, anti, unlabeled if any, then other labels by their first page.
     """
-    pages_present = set(d.by_page)
-    row_labels = list(LABELS)
-    if any(p not in labels for p in pages_present):
-        row_labels.append("unlabeled")
+    label_of = {p: labels.get(p, "unlabeled") for p in sorted(d.pages)}
+    rows = {lab: SummaryRow() for lab in LABELS}
+    if any(p not in labels for p in label_of):
+        rows["unlabeled"] = SummaryRow()
+    for lab in label_of.values():
+        rows.setdefault(lab, SummaryRow()).pages += 1
 
-    rows = {lab: SummaryRow() for lab in row_labels}
-    likers: dict[str, set[str]] = {lab: set() for lab in row_labels}
-    commenters: dict[str, set[str]] = {lab: set() for lab in row_labels}
+    actors: dict[tuple[str, str], set[str]] = {
+        (lab, action): set() for lab in rows for action in ENGAGEMENT_ACTIONS}
+    for r in d.records:
+        lab = label_of[r.page]
+        if r.action == "post":
+            rows[lab].posts += 1
+        elif r.action == "like":
+            rows[lab].likes += 1
+            actors[lab, "like"].add(r.user)
+        else:
+            rows[lab].comments += 1
+            actors[lab, "comment"].add(r.user)
 
-    for page in sorted(pages_present):
-        lab = labels.get(page, "unlabeled")
-        if lab not in rows:  # label value outside {pro, anti}
-            rows[lab] = SummaryRow()
-            likers[lab] = set()
-            commenters[lab] = set()
-            row_labels.append(lab)
-        row = rows[lab]
-        row.pages += 1
-        for i in d.by_page[page]:
-            r = d.records[i]
-            if r.action == "post":
-                row.posts += 1
-            elif r.action == "like":
-                row.likes += 1
-                likers[lab].add(r.user)
-            else:
-                row.comments += 1
-                commenters[lab].add(r.user)
-
-    for lab in row_labels:
-        rows[lab].likers = len(likers[lab])
-        rows[lab].commenters = len(commenters[lab])
-        rows[lab].users = len(likers[lab] | commenters[lab])
+    for lab, row in rows.items():
+        likers, commenters = actors[lab, "like"], actors[lab, "comment"]
+        row.likers, row.commenters = len(likers), len(commenters)
+        row.users = len(likers | commenters)
     return SummaryTable(rows)
 
 

@@ -17,11 +17,20 @@ import numpy as np
 from .compare import DegenerateDataWarning
 from .graphs import Partition
 from .ingest import Dataset
-from .timebins import WINDOW_KEYS
+from .timebins import SECONDS_PER_DAY, WINDOW_KEYS
 
 DEFAULT_MIN_ACTIONS = 10
 DEFAULT_BINS = 21
 DEFAULT_SPAN = 0.75
+MAX_COUNT = 10_000  # bins, grid points or random draws: each costs time or memory
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    """Raise ValueError unless least <= value <= MAX_COUNT."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if value > MAX_COUNT:
+        raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +113,7 @@ def user_polarization(d: Dataset, sides: dict[str, str], action: str = "like",
 
 def polarization_histogram(profiles, bins: int = DEFAULT_BINS) -> Histogram:
     """Equal-width density histogram of rho over [-1, 1], endpoints included."""
-    if bins < 2:
-        raise ValueError(f"bins must be at least 2, got {bins}")
+    check_count("bins", bins, 2)
     rhos = [p.rho for p in profiles]
     if not rhos:
         raise ValueError("no profiles to bin")
@@ -167,24 +175,22 @@ def user_engagement(d: Dataset, sides: dict[str, str],
     return out
 
 
-def pages_per_window(d: Dataset, user: str, window: str,
-                     action: str = "like") -> int:
-    """Max distinct pages the user liked within one calendar window.
-
-    Windows are calendar years, calendar months or ISO weeks.
+def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str, int]:
+    """Max distinct pages per window for each user with an action of the given
+    kind; windows (calendar years, months or ISO weeks) are keyed once per day.
     """
     if window not in WINDOW_KEYS:
         raise ValueError(f"window must be one of {sorted(WINDOW_KEYS)}, got {window!r}")
     key_of = WINDOW_KEYS[window]
-    per_window: dict[tuple, set[str]] = {}
-    for i in d.by_user.get(user, ()):
-        r = d.records[i]
-        if r.action != action:
-            continue
-        per_window.setdefault(key_of(r.ts), set()).add(r.page)
-    if not per_window:
-        raise ValueError(f"user {user!r} has no {action} records")
-    return max(len(pages) for pages in per_window.values())
+    key_of_day: dict[int, tuple] = {}
+    per_user: dict[str, dict[tuple, set[str]]] = {}
+    for r in d.records:
+        if r.action == action:
+            day = r.ts // SECONDS_PER_DAY
+            if day not in key_of_day:
+                key_of_day[day] = key_of(r.ts)
+            per_user.setdefault(r.user, {}).setdefault(key_of_day[day], set()).add(r.page)
+    return {user: max(map(len, windows.values())) for user, windows in per_user.items()}
 
 
 def community_page_stats(d: Dataset, sides: dict[str, str],
@@ -231,10 +237,9 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
         raise ValueError(f"need at least 3 points, got {n}")
     if not math.isfinite(span):
         raise ValueError(f"span must be a finite number, got {span}")
-    k = int(math.ceil(span * n))
+    k = math.ceil(min(span, 1.0) * n)
     if k < 2:
         raise ValueError(f"span {span} covers fewer than 2 of the {n} points")
-    k = min(k, n)
     if eval_points is None:
         eval_points = np.unique(x)
     else:

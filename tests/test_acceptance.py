@@ -235,11 +235,8 @@ def test_criterion_09_exposure_machinery():
                   f"{rng.integers(1, 29):02d}")
             records.append(rec(f"u{u}", f"p{rng.integers(0, 12):02d}", "like", ts))
     d = dataset(*records)
-    mono_ok = all(
-        pages_per_window(d, f"u{u}", "week")
-        <= pages_per_window(d, f"u{u}", "month")
-        <= pages_per_window(d, f"u{u}", "year")
-        for u in range(25))
+    week, month, year = (pages_per_window(d, w) for w in ("week", "month", "year"))
+    mono_ok = all(week[f"u{u}"] <= month[f"u{u}"] <= year[f"u{u}"] for u in range(25))
 
     d3 = dataset(
         rec("u1", "p1"),

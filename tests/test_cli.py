@@ -340,6 +340,26 @@ def test_exposure_rejects_bad_span_and_eval_points(corpus, capsys, flag, value, 
     assert not (corpus / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["polarize", "--bins", "10001"], "bins must be at most 10000, got 10001"),
+    (["exposure", "--eval-points", "10001"], "eval-points must be at most 10000, got 10001"),
+    (["validate", "--draws", "10001"], "draws must be at most 10000, got 10001"),
+])
+def test_numeric_flags_reject_values_over_their_bound(corpus, capsys, args, message):
+    rc = main(args + ["--out-dir", str(corpus), "--in", "data.jsonl",
+                      "--labels", "labels.csv", "--out", "out.csv"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (corpus / "out.csv").exists()
+
+
+def test_exposure_span_beyond_one_is_span_one(corpus):
+    for span, out in (("1", "one.csv"), ("1e308", "huge.csv")):
+        run("exposure", "--out-dir", corpus, "--in", "data.jsonl", "--labels", "labels.csv",
+            "--span", span, "--out", out)
+    assert (corpus / "one.csv").read_bytes() == (corpus / "huge.csv").read_bytes()
+
+
 def test_subcommands_rerun_byte_identical(corpus):
     for args, out in [
         (("validate", "--draws", "10"), "v.csv"),

@@ -32,15 +32,6 @@ def test_kind_filter_empty_edges():
     assert b.n_edges == 0 and not b.users
 
 
-def test_window_restricts_edges():
-    d = dataset(rec("u1", "p1", "like", "2014-01-15"),
-                rec("u2", "p1", "like", "2015-01-15"))
-    lo = rec("x", "x", ts="2014-01-01").ts
-    hi = rec("x", "x", ts="2014-12-31").ts
-    b = build_bipartite(d, "like", window=(lo, hi))
-    assert b.n_edges == 1 and b.users == ("u1",)
-
-
 def test_bipartite_edges_match_brute_force():
     d = random_dataset(50, seed=17)
     for kind in ("like", "comment"):

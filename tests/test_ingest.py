@@ -224,6 +224,31 @@ def test_summary_unlabeled_reported_separately():
     assert table.rows["unlabeled"].likers == 1
 
 
+def test_summary_row_order_and_counts_with_unlabeled_and_odd_labels():
+    d = dataset(
+        rec("u1", "pz", "like"), rec("u2", "pz", "comment"),
+        rec("pb", "pb", "post"), rec("u1", "pb", "like"), rec("u3", "pb", "like"),
+        rec("u4", "pc", "comment"), rec("u4", "pc", "comment"),
+        rec("u5", "pd", "like"), rec("u5", "pd", "comment"),
+        rec("pe", "pe", "post"), rec("pe", "pe", "post"), rec("u1", "pe", "comment"),
+        rec("u6", "pa", "like"),
+    )
+    labels = {"pa": "pro", "pb": "zz", "pc": "neutral", "pd": "zz", "pe": "aa"}
+    table = dataset_summary(d, labels)
+    assert list(table.rows) == ["pro", "anti", "unlabeled", "zz", "neutral", "aa"]
+    counts = {lab: tuple(getattr(row, f) for f in table.FIELDS)
+              for lab, row in table.rows.items()}
+    # pages, posts, likes, likers, comments, commenters, users
+    assert counts == {
+        "pro": (1, 0, 1, 1, 0, 0, 1),
+        "anti": (0, 0, 0, 0, 0, 0, 0),
+        "unlabeled": (1, 0, 1, 1, 1, 1, 2),
+        "zz": (2, 1, 3, 3, 1, 1, 3),
+        "neutral": (1, 0, 0, 0, 2, 1, 1),
+        "aa": (1, 2, 0, 0, 1, 1, 1),
+    }
+
+
 def test_summary_users_equals_union_brute_force():
     d = random_dataset(1000, seed=5)
     labels = {p: ("pro" if p < "p04" else "anti") for p in d.pages}
@@ -239,22 +264,6 @@ def test_summary_users_equals_union_brute_force():
         assert row.users == len(likers | commenters)
         assert row.likers <= row.users and row.commenters <= row.users
         assert row.users <= row.likers + row.commenters
-
-
-def test_dataset_indices_consistent():
-    d = random_dataset(800, seed=9)
-    d.validate()
-
-
-def test_validate_rejects_corrupt_page_index():
-    d = random_dataset(50, seed=1)
-    first, second = sorted(d.by_page)[:2]
-    d.by_page[first].append(d.by_page[second].pop())
-    with pytest.raises(ValueError, match="by_page index wrong"):
-        d.validate()
-    d.by_page[first].pop()
-    with pytest.raises(ValueError, match="by_page index incomplete"):
-        d.validate()
 
 
 def test_labels_round_trip():

@@ -1,4 +1,5 @@
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from echonet.metrics import (
     user_polarization,
 )
 
-from conftest import dataset, rec
+from conftest import dataset, random_dataset, rec
 
 SIDES = {"p1": "c1", "p2": "c2"}
 
@@ -177,14 +178,14 @@ def test_pages_per_window_single_week():
     d = dataset(rec("u1", "p1", "like", "2014-03-03"),
                 rec("u1", "p2", "like", "2014-03-04"),
                 rec("u1", "p3", "like", "2014-03-05"))
-    assert pages_per_window(d, "u1", "week") == 3
+    assert pages_per_window(d, "week") == {"u1": 3}
 
 
 def test_pages_per_window_month_vs_year():
     records = [rec("u1", f"p{m}", "like", f"2014-{m:02d}-10") for m in range(1, 7)]
     d = dataset(*records)
-    assert pages_per_window(d, "u1", "month") == 1
-    assert pages_per_window(d, "u1", "year") == 6
+    assert pages_per_window(d, "month") == {"u1": 1}
+    assert pages_per_window(d, "year") == {"u1": 6}
 
 
 def test_pages_per_window_monotone():
@@ -196,19 +197,36 @@ def test_pages_per_window_monotone():
                                f"201{rng.integers(2, 6)}-{rng.integers(1, 13):02d}-"
                                f"{rng.integers(1, 29):02d}"))
     d = dataset(*records)
+    week, month, year = (pages_per_window(d, w) for w in ("week", "month", "year"))
+    assert week.keys() == month.keys() == year.keys() == {f"u{u}" for u in range(6)}
     for u in range(6):
-        week = pages_per_window(d, f"u{u}", "week")
-        month = pages_per_window(d, f"u{u}", "month")
-        year = pages_per_window(d, f"u{u}", "year")
-        assert week <= month <= year
+        assert week[f"u{u}"] <= month[f"u{u}"] <= year[f"u{u}"]
 
 
 def test_pages_per_window_bad_args():
     d = dataset(rec("u1", "p1", "like"))
     with pytest.raises(ValueError):
-        pages_per_window(d, "u1", "fortnight")
-    with pytest.raises(ValueError):
-        pages_per_window(d, "nobody", "week")
+        pages_per_window(d, "fortnight")
+    assert "nobody" not in pages_per_window(d, "week")
+
+
+@pytest.mark.parametrize("window, key_of", [
+    ("year", lambda t: t.year),
+    ("month", lambda t: (t.year, t.month)),
+    ("week", lambda t: t.isocalendar()[:2]),
+])
+def test_pages_per_window_matches_per_user_datetime_count(window, key_of):
+    d = random_dataset(3000, seed=23)
+    for action in ("like", "comment"):
+        expected = {}
+        for user in {r.user for r in d.records if r.action == action}:
+            windows = {}
+            for r in d.records:
+                if r.user == user and r.action == action:
+                    t = datetime.fromtimestamp(r.ts, tz=timezone.utc)
+                    windows.setdefault(key_of(t), set()).add(r.page)
+            expected[user] = max(len(pages) for pages in windows.values())
+        assert pages_per_window(d, window, action) == expected
 
 
 # ---------------------------------------------------------------------- stats
@@ -291,6 +309,15 @@ def test_loess_degenerate_design_falls_back_to_constant():
     with pytest.warns(DegenerateDataWarning):
         fit, _, _ = loess_fit(x, y, span=0.5, eval_points=[1.0])
     assert fit[0] == pytest.approx(4.0)  # mean of the stacked point
+
+
+def test_loess_span_beyond_one_is_span_one():
+    rng = np.random.default_rng(8)
+    x = np.sort(rng.uniform(0, 10, 40))
+    y = np.sin(x) + rng.normal(0, 0.2, 40)
+    whole = loess_fit(x, y, span=1.0)
+    for span in (1.5, 1e308):
+        assert all(np.array_equal(a, b) for a, b in zip(loess_fit(x, y, span=span), whole))
 
 
 def test_loess_input_validation():
