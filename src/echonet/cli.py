@@ -175,6 +175,8 @@ def cmd_project(args, d: Dataset) -> dict[str, str]:
 
 
 def cmd_detect(args, d: Dataset) -> dict[str, str]:
+    if args.steps < 1:  # checked for every algorithm, not only walktrap
+        raise ValueError(f"steps must be positive, got {args.steps}")
     g = project(build_bipartite(d, args.action))
     dendro = None
     if args.algorithm == "fastgreedy":

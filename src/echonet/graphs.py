@@ -42,6 +42,10 @@ class Partition:
     def __post_init__(self):
         if len(self.nodes) != len(self.labels):
             raise ValueError("labels must cover every node exactly once")
+        if len(set(self.nodes)) < len(self.nodes):
+            seen: set = set()
+            dup = next(v for v in self.nodes if v in seen or seen.add(v))
+            raise ValueError(f"node {dup!r} appears more than once")
         if self.labels:
             uniq = set(self.labels)
             if uniq != set(range(self.n_communities)):

@@ -195,6 +195,17 @@ def test_detect_dendrogram_without_one_writes_nothing(corpus, capsys):
     assert not (corpus / "ml.csv").exists() and not (corpus / "d.csv").exists()
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+@pytest.mark.parametrize("algorithm", ["fastgreedy", "walktrap", "multilevel", "labelprop"])
+def test_detect_checks_steps_for_every_algorithm(corpus, capsys, algorithm, steps):
+    capsys.readouterr()
+    rc = main(["detect", "--out-dir", str(corpus), "--in", "data.jsonl",
+               "--algorithm", algorithm, "--steps", str(steps), "--out", "part.csv"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: steps must be positive, got {steps}"]
+    assert not (corpus / "part.csv").exists()
+
+
 def write_jsonl(path: Path, records) -> None:
     path.write_text("".join(json.dumps({"user": u, "page": p, "post": f"{p}_s0",
                                         "action": a, "ts": ts}) + "\n"

@@ -385,14 +385,50 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_dendrograms_and_cuts_are_pinned(name):
+def dendrogram_digest(name, graphs):
     detect = {"fastgreedy": fastgreedy,
               "walktrap2": lambda g: walktrap(g, steps=2),
               "walktrap4": lambda g: walktrap(g, steps=4)}[name]
     h = hashlib.sha256()
-    for g in pinned_graphs():
+    for g in graphs:
         part, dendro = detect(g)
         h.update(dendro.to_csv().encode() + part.to_csv().encode()
                  + f"{dendro.best_step},{dendro.best_score!r}\n".encode())
-    assert h.hexdigest() == PINNED[name]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_dendrograms_and_cuts_are_pinned(name):
+    assert dendrogram_digest(name, pinned_graphs()) == PINNED[name]
+
+
+def large_pinned_graphs():
+    """Two seeded graphs big enough that walktrap's seeding and its fallback
+    distances work on many rows at once: a dense one (240 nodes, density
+    about 0.93) and a sparse planted one (600 nodes in blocks of 25, with
+    cross-block edges; about 30% of all edges share the weight 5)."""
+    rng = random.Random(2024)
+    n = 240
+    dense = [(i, j, rng.randint(1, 60)) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.93]
+    n = 600
+    sparse = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < (0.5 if i // 25 == j // 25 else 0.004):
+                sparse.append((i, j, 5 if rng.random() < 0.3 else rng.randint(1, 30)))
+    return [ProjectionGraph([f"d{i:03d}" for i in range(240)], dense),
+            ProjectionGraph([f"s{i:03d}" for i in range(600)], sparse)]
+
+
+# The same hash as PINNED, under the same rule.
+PINNED_LARGE = {
+    "fastgreedy": "3deae09626d420e6bb209c6d787d30ed2e8c220103448fa080788ed74e755d02",
+    "walktrap2": "93f63f08ed76c4f4615131a3bfe378ac7d4a309521e797c46ff1efb6abd9462b",
+    "walktrap4": "eccd39c5cfa2965450adc3f7d06446b60b1800892792fcd4d6dcb7623b0c215f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LARGE))
+def test_large_graph_dendrograms_are_pinned(name):
+    assert dendrogram_digest(name, large_pinned_graphs()) == PINNED_LARGE[name]

@@ -63,6 +63,25 @@ def test_rand_index_matches_pair_enumeration_oracle():
         assert rand_index(p, q) == rand_index_pair_oracle(p, q)
 
 
+def test_rand_index_equals_pair_enumeration_in_any_node_order():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(2, 40))
+        nodes = [f"n{i}" for i in range(n)]
+        order = nodes if trial % 2 else [nodes[i] for i in rng.permutation(n)]
+        p = Partition.from_labels(nodes, rng.integers(0, rng.integers(1, n + 1), n).tolist())
+        q = Partition.from_labels(order, rng.integers(0, rng.integers(1, n + 1), n).tolist())
+        assert rand_index(p, q) == rand_index(q, p) == rand_index_pair_oracle(p, q)
+
+
+def test_partition_with_a_repeated_node_is_refused():
+    with pytest.raises(ValueError, match="node 'a' appears more than once"):
+        Partition.from_labels(["b", "a", "a", "b"], [0, 1, 1, 0])
+    with pytest.raises(ValueError, match="node 'a' appears more than once"):
+        rand_index(Partition.from_labels(["a", "a", "b"], [0, 1, 1]),
+                   Partition.from_labels(["a", "b"], [0, 0]))
+
+
 def test_rand_index_node_mismatch_lists_difference():
     p = part({"a": 0, "b": 1})
     q = part({"a": 0, "c": 1})
