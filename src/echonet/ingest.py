@@ -14,11 +14,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import count
+from functools import partial
+from itertools import chain, count, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import is_not, itemgetter
+from typing import NamedTuple
 
 from .timebins import (
+    canonical_seconds,
     day_end,
     day_start,
     parse_date,
@@ -47,8 +50,7 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
+class InteractionRecord(NamedTuple):
     """One user action (post, like or comment) on a page's post."""
 
     user: str
@@ -116,11 +118,16 @@ def _make_record(user, page, post, action, ts, line_no: int) -> InteractionRecor
     return InteractionRecord(user, page, post, action, epoch)
 
 
-# The line serialize_records writes. Its strings are printable ASCII other than
-# the quote and the backslash, so json.loads reads a matched line to the same values.
-_CANONICAL_LINE = re.compile(
-    r'\{"user":"([ !#-\[\]-~]+)","page":"([ !#-\[\]-~]+)","post":"([ !#-\[\]-~]+)",'
-    r'"action":"(post|like|comment)","ts":"([ !#-\[\]-~]*)"\}')
+# A JSONL line as serialize_records writes it, its ts split into day, hour, minute
+# and second, or else any other line (no groups). Its strings are printable ASCII
+# other than the quote and the backslash, so json.loads reads them the same.
+_LINE = re.compile(
+    r'^(?:\{"user":"([ !#-\[\]-~]+)","page":"([ !#-\[\]-~]+)","post":"([ !#-\[\]-~]+)",'
+    r'"action":"(post|like|comment)","ts":"([0-9]{4}-[0-9]{2}-[0-9]{2})T([0-9]{2}):'
+    r'([0-9]{2}):([0-9]{2})Z"\}|.*)$', re.M)
+# Characters read per JSONL block. A block's findall rows take about seven
+# times its text, so a larger block raises peak memory and gains no speed.
+BLOCK_CHARS = 1 << 16
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -139,9 +146,10 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     with ``errors="surrogateescape"``: a line holding a byte that is not UTF-8
     is then a malformed line ("invalid UTF-8") like any other.
 
-    JSONL is read one line at a time. A canonical line (``_CANONICAL_LINE``)
-    becomes a record directly; any other line, or one whose timestamp
-    parse_timestamp rejects, goes to the per-line path
+    JSONL is read in blocks of whole lines ended by "\\n", about BLOCK_CHARS
+    characters each, and one ``_LINE.findall`` per block reads its canonical
+    lines in bulk. Any other line, or one whose timestamp canonical_seconds
+    rejects, goes with its line number to the per-line path
     (``_parse_jsonl_lines``), the only source of ParseError messages and skip
     counts.
     """
@@ -156,19 +164,16 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     skipped = 0
     if format == "jsonl":
         intern = {}.setdefault
-        for line_no, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            m = _CANONICAL_LINE.fullmatch(line)
-            try:
-                if m is None:
-                    raise ValueError("not a canonical line")
-                *fields, ts = m.groups()
-                records.append(InteractionRecord(*map(intern, fields, fields),
-                                                 parse_timestamp(ts)))
-            except ValueError:
-                skipped += _parse_jsonl_lines([line], line_no, strict, records)
+        line_no, pending = 1, []  # pending: the text of an unfinished line
+        # the "\n" chunk ends a last line that the stream leaves unended
+        for chunk in chain(iter(partial(stream.read, BLOCK_CHARS), ""), ["\n"]):
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                pending.append(chunk[:cut])
+                line_no, n = _scan_block("".join(pending), line_no, strict, records, intern)
+                skipped += n
+                pending = []
+            pending.append(chunk[cut:])
     else:
         for line_no, row in _csv_rows(stream):
             if not row:
@@ -187,6 +192,26 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
                 skipped += 1
 
     return Dataset(records, skipped)
+
+
+def _scan_block(block: str, line_no: int, strict: bool, records: list, intern):
+    """Append the records of a block of lines from ``line_no`` on; return the
+    next line's number and the lines skipped."""
+    rows = _LINE.findall(block, 0, len(block) - 1)
+    *columns, days, hours, minutes, seconds = zip(*rows)
+    stamps = list(map(canonical_seconds, days, hours, minutes, seconds))
+    lines = block.split("\n") if None in stamps else ()
+    skipped = start = 0
+    for read, run in groupby(stamps, partial(is_not, None)):  # runs of lines read or not
+        stop = start + len(list(run))
+        if read:
+            fields = [map(intern, c[start:stop], c[start:stop]) for c in columns]
+            records.extend(map(tuple.__new__, repeat(InteractionRecord),
+                               zip(*fields, stamps[start:stop])))
+        else:
+            skipped += _parse_jsonl_lines(lines[start:stop], line_no + start, strict, records)
+        start = stop
+    return line_no + len(rows), skipped
 
 
 def _parse_jsonl_lines(lines, line_no: int, strict: bool, records: list) -> int:
@@ -251,9 +276,6 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-_SORT_KEY = attrgetter("ts", "page", "post", "user", "action")  # InteractionRecord.sort_key
-
-
 def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     """Canonical serialization: records sorted by (ts, page, post, user, action).
 
@@ -265,7 +287,7 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    ordered = sorted(d.records, key=_SORT_KEY)
+    ordered = sorted(d.records, key=itemgetter(4, 1, 2, 0, 3))  # sort_key
     stamp = timestamp_formatter()
     if format == "csv":
         return csv_text(CSV_HEADER, ((r.user, r.page, r.post, r.action, stamp(r.ts))

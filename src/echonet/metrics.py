@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .compare import DegenerateDataWarning
 from .graphs import Partition
 from .ingest import Dataset
-from .timebins import SECONDS_PER_DAY, WINDOW_KEYS
+from .timebins import WINDOW_KEYS, by_day
 
 DEFAULT_MIN_ACTIONS = 10
 DEFAULT_BINS = 21
@@ -181,15 +182,11 @@ def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str,
     """
     if window not in WINDOW_KEYS:
         raise ValueError(f"window must be one of {sorted(WINDOW_KEYS)}, got {window!r}")
-    key_of = WINDOW_KEYS[window]
-    key_of_day: dict[int, tuple] = {}
+    key_of = by_day(WINDOW_KEYS[window])
     per_user: dict[str, dict[tuple, set[str]]] = {}
     for r in d.records:
         if r.action == action:
-            day = r.ts // SECONDS_PER_DAY
-            if day not in key_of_day:
-                key_of_day[day] = key_of(r.ts)
-            per_user.setdefault(r.user, {}).setdefault(key_of_day[day], set()).add(r.page)
+            per_user.setdefault(r.user, {}).setdefault(key_of(r.ts), set()).add(r.page)
     return {user: max(map(len, windows.values())) for user, windows in per_user.items()}
 
 
@@ -246,7 +243,7 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
         eval_points = np.asarray(eval_points, dtype=float)
 
     def local_coeffs(x0: float):
-        """Weight vector l with fit(x0) = l . y, or None for zero support."""
+        """Weight vector l with fit(x0) = l . y."""
         dist = np.abs(x - x0)
         h = np.partition(dist, k - 1)[k - 1]
         if h == 0.0:
@@ -255,27 +252,34 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
             u = np.clip(dist / h, 0.0, 1.0)
             w = (1.0 - u ** 3) ** 3
         sw = w.sum()
-        if sw <= 0.0:
-            return None
+        if sw <= 0.0:  # every neighbour sits at distance h, where tricube is 0
+            raise ValueError(f"no data point has positive weight at x = {x0}; "
+                             "a larger span would include more")
         z = x - x0
         swz = float(w @ z)
         swzz = float(w @ (z * z))
         denom = sw * swzz - swz * swz
-        distinct = np.count_nonzero(w > 0.0) > 1 and not np.allclose(
-            x[w > 0.0], x[w > 0.0][0])
+        xs = x[w > 0.0]  # np.allclose(xs, xs[0]) without its temporaries:
+        distinct = len(xs) > 1 and not (
+            np.abs(xs - xs[0]).max() <= 1e-8 + 1e-5 * abs(xs[0]))
         if denom <= 0.0 or not distinct:
             warnings.warn(f"degenerate local design at x = {x0}; "
                           "using local constant fit", DegenerateDataWarning)
             return w / sw
         return w * (swzz - swz * z) / denom
 
+    @cache  # one local fit per distinct x0: the data and the grid repeat x values
+    def local_fit(x0: float):
+        """fit(x0), l . l and l at the data points equal to x0 (all the same)."""
+        l = local_coeffs(x0)
+        at_x0 = l[x == x0]
+        return float(l @ y), float(l @ l), at_x0[0] if len(at_x0) else None
+
     # pooled residual variance from fits at the data points
     hat_diag = np.empty(n)
     resid = np.empty(n)
     for i in range(n):
-        l = local_coeffs(x[i])
-        fit_i = float(l @ y)
-        hat_diag[i] = l[i]
+        fit_i, _, hat_diag[i] = local_fit(x[i])
         resid[i] = y[i] - fit_i
     dof = n - hat_diag.sum()
     if dof <= 0:
@@ -285,7 +289,6 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
     fit = np.empty(len(eval_points))
     half = np.empty(len(eval_points))
     for i, x0 in enumerate(eval_points):
-        l = local_coeffs(float(x0))
-        fit[i] = float(l @ y)
-        half[i] = 1.96 * math.sqrt(max(sigma2, 0.0) * float(l @ l))
+        fit[i], ll, _ = local_fit(float(x0))
+        half[i] = 1.96 * math.sqrt(max(sigma2, 0.0) * ll)
     return fit, fit - half, fit + half

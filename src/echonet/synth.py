@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 
 import numpy as np
 
@@ -142,11 +143,11 @@ def generate(config: SynthConfig):
     for page_index, page in enumerate(all_pages):
         page_side[page] = side_of_index[page_index]
         rng = _entity_rng(config.seed, _PAGE_STREAM + page_index)
-        ts = rng.integers(t0, t1 + 1, size=config.posts_per_page)
+        ts = rng.integers(t0, t1 + 1, size=config.posts_per_page).tolist()
         ids = [f"{page}_s{j:05d}" for j in range(config.posts_per_page)]
         post_ids[page] = ids
-        for j, pid in enumerate(ids):
-            records.append(InteractionRecord(page, page, pid, "post", int(ts[j])))
+        records += map(tuple.__new__, repeat(InteractionRecord),
+                       zip(repeat(page), repeat(page), ids, repeat("post"), ts))
 
     # per-user action streams
     user_index = 0
@@ -172,24 +173,20 @@ def generate(config: SynthConfig):
                 continue
 
             # fixed draw order keeps the stream layout independent of outcomes
-            cross = rng.random(n_act) < config.p_out
-            page_u = rng.random(n_act)
-            post_idx = rng.integers(0, max(config.posts_per_page, 1), size=n_act)
-            is_comment = rng.random(n_act) < config.comment_fraction
-            ts = rng.integers(t0, t1 + 1, size=n_act)
+            cross = (rng.random(n_act) < config.p_out).tolist()
+            page_u = rng.random(n_act).tolist()
+            post_idx = rng.integers(0, max(config.posts_per_page, 1), size=n_act).tolist()
+            is_comment = (rng.random(n_act) < config.comment_fraction).tolist()
+            ts = rng.integers(t0, t1 + 1, size=n_act).tolist()
 
             lo, hi = blocks[block_of_user[u]] if len(blocks) > 1 else blocks[0]
-            own_pages = pages_by_side[side][lo:hi]
-            other_pages = pages_by_side[other]
-            for k in range(n_act):
-                if cross[k]:
-                    pool = other_pages
-                else:
-                    pool = own_pages
-                page = pool[int(page_u[k] * len(pool))]
-                post = post_ids[page][post_idx[k]] if config.posts_per_page else f"{page}_s0"
-                action = "comment" if is_comment[k] else "like"
-                records.append(InteractionRecord(user, page, post, action, int(ts[k])))
+            pools = (pages_by_side[side][lo:hi], pages_by_side[other])  # [own, other][cross]
+            pages = [pools[c][int(pu * len(pools[c]))] for c, pu in zip(cross, page_u)]
+            posts = ([post_ids[page][k] for page, k in zip(pages, post_idx)]
+                     if config.posts_per_page else [f"{page}_s0" for page in pages])
+            actions = ["comment" if c else "like" for c in is_comment]
+            records += map(tuple.__new__, repeat(InteractionRecord),
+                           zip(repeat(user), pages, posts, actions, ts))
 
     labels = dict(page_side)
     return Dataset(records), PlantedTruth(page_side, user_side), labels

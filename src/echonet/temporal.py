@@ -18,7 +18,7 @@ from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
 from .graphs import BipartiteGraph, project
 from .ingest import Dataset
-from .timebins import quarter_of
+from .timebins import by_day, quarter_of
 
 MEASURES = (
     "active_pages_post",
@@ -80,11 +80,12 @@ def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     quarters = d.quarter_span()
     page_sets: dict[tuple, set[str]] = {}
     user_sets: dict[tuple, set[str]] = {}
+    quarter = by_day(quarter_of)
     for r in d.records:
         side = labels.get(r.page)
         if side is None:
             continue
-        q = quarter_of(r.ts)
+        q = quarter(r.ts)
         page_sets.setdefault((q, side, r.action), set()).add(r.page)
         if r.action in ("like", "comment"):
             user_sets.setdefault((q, side, r.action), set()).add(r.user)
@@ -118,10 +119,11 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
             raise ValueError(f"unknown algorithm {algo!r}")
     communities = sorted(set(labels.values()))
     buckets: dict[tuple, set] = {}  # distinct (user, page) per (quarter, community)
+    quarter = by_day(quarter_of)
     for r in d.records:
         side = labels.get(r.page)
         if r.action == action and side is not None:
-            buckets.setdefault((quarter_of(r.ts), side), set()).add((r.user, r.page))
+            buckets.setdefault((quarter(r.ts), side), set()).add((r.user, r.page))
     so_far: dict[str, set] = {side: set() for side in communities}
     out: list[CohesionPoint] = []
     for q in d.quarter_span():

@@ -32,18 +32,26 @@ def parse_timestamp(value) -> int:
 
     Raises ValueError for malformed values and for instants outside the
     years 1000-9999. The canonical form ``YYYY-MM-DDTHH:MM:SSZ`` is read
-    from its fields; every other form goes through ``_epoch_seconds``.
+    from its fields (canonical_seconds); any other goes through ``_epoch_seconds``.
     """
-    try:  # the canonical form, field by field; value[10::3] is its "T::Z"
-        if type(value) is not str or len(value) != 20 or value[10::3] != "T::Z":
-            raise KeyError(value)
-        ts = (_day_seconds(value[:10]) + _HOURS[value[11:13]]
-              + _MINUTES[value[14:16]] + _SECONDS[value[17:19]])
-    except (KeyError, TypeError):  # not canonical, a field out of range, or no such day
+    ts = None  # value[10::3] is the canonical form's "T::Z"
+    if type(value) is str and len(value) == 20 and value[10::3] == "T::Z":
+        ts = canonical_seconds(value[:10], value[11:13], value[14:16], value[17:19])
+    if ts is None:
         ts = _epoch_seconds(value)
-    if not MIN_TS <= ts <= MAX_TS:
-        raise ValueError(f"timestamp outside the years 1000-9999: {value!r}")
+        if not MIN_TS <= ts <= MAX_TS:
+            raise ValueError(f"timestamp outside the years 1000-9999: {value!r}")
     return ts
+
+
+def canonical_seconds(day: str, hh: str, mm: str, ss: str) -> int | None:
+    """Epoch seconds of the canonical timestamp ``{day}T{hh}:{mm}:{ss}Z`` read
+    from its fields, or None where parse_timestamp rejects it."""
+    try:
+        ts = _day_seconds(day) + _HOURS[hh] + _MINUTES[mm] + _SECONDS[ss]
+    except (KeyError, TypeError):  # a field out of range, or no such day
+        return None
+    return ts if MIN_TS <= ts <= MAX_TS else None
 
 
 @lru_cache(maxsize=1 << 16)
@@ -150,6 +158,18 @@ def iso_week_of(ts: int) -> tuple[int, int]:
 
 
 WINDOW_KEYS = {"year": year_of, "month": month_of, "week": iso_week_of}
+
+
+def by_day(key_of):
+    """``key_of`` of an instant, computed once per UTC day, on which every
+    calendar bin (quarter, month, year, ISO week) depends alone."""
+    keys: dict[int, tuple] = {}
+
+    def key(ts: int) -> tuple:
+        day = ts // SECONDS_PER_DAY
+        return keys[day] if day in keys else keys.setdefault(day, key_of(ts))
+
+    return key
 
 
 def quarter_label(q: tuple[int, int]) -> str:

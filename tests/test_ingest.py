@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import replace
+import tracemalloc
 from datetime import date, datetime, timezone
 
 import pytest
@@ -23,6 +23,7 @@ from echonet.synth import SynthConfig, generate
 from echonet.timebins import (
     MAX_TS,
     MIN_TS,
+    canonical_seconds,
     day_start,
     format_timestamp,
     iso_week_of,
@@ -273,6 +274,11 @@ def test_labels_round_trip():
 
 # --- JSONL parse: the fast reader against the per-line path --------------------
 
+def is_canonical(line: str) -> bool:
+    """Whether ``line`` has the canonical form that the block scan reads in bulk."""
+    return ingest._LINE.fullmatch(line)[1] is not None
+
+
 def per_line(text: str, strict: bool):
     """The per-line path over the whole text: (records, skipped) or ParseError."""
     records = []
@@ -280,19 +286,30 @@ def per_line(text: str, strict: bool):
     return records, skipped
 
 
+# Block sizes the JSONL scan is checked at: at 1 and 7 characters every line
+# straddles block ends, at 64 most do, and the default is the size in use.
+BLOCK_SIZES = (1, 7, 64, ingest.BLOCK_CHARS)
+
+
 def assert_same_as_per_line(text: str):
-    """parse_records equals the per-line path, in both modes."""
+    """parse_records equals the per-line path, in both modes, at every block size."""
     for strict in (True, False):
         try:
             expected = per_line(text, strict)
         except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                parse_records(text, strict=strict)
-            assert (got.value.line_no, got.value.reason) == (exc.line_no, exc.reason)
-        else:
-            d = parse_records(text, strict=strict)
-            assert (list(d.records), d.skipped_lines) == expected
-            assert [type(r.ts) for r in d.records] == [int] * len(d)
+            expected = (exc.line_no, exc.reason)
+        for block in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "BLOCK_CHARS", block)
+                try:
+                    d = parse_records(text, strict=strict)
+                except ParseError as exc:
+                    got = (exc.line_no, exc.reason)
+                else:
+                    got = (list(d.records), d.skipped_lines)
+                    assert all(type(r) is InteractionRecord and type(r.ts) is int
+                               for r in d.records)
+            assert got == expected, (strict, block)
 
 
 def test_two_objects_on_a_line_and_one_object_over_two_lines():
@@ -309,11 +326,13 @@ def test_two_objects_on_a_line_and_one_object_over_two_lines():
     assert_same_as_per_line(text)
 
 
-def test_bad_line_on_each_side_of_a_chunk_boundary():
+def test_bad_line_on_each_side_of_a_chunk_boundary(monkeypatch):
     lines = [json.dumps({**json.loads(ONE_LINE), "user": f"u{i}"}) for i in range(1, 11)]
     lines[3] = "not json"
     lines[4] = lines[4][:-1]      # truncated
     text = "\n".join(lines) + "\n"
+    boundary = len("\n".join(lines[:4])) + 1  # the first block ends after line 4
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", boundary)
     with pytest.raises(ParseError) as exc:
         parse_records(text)
     assert exc.value.line_no == 4
@@ -332,6 +351,9 @@ def test_bad_line_on_each_side_of_a_chunk_boundary():
     ONE_LINE + "\r\n" + ONE_LINE + "\r\n\r\n",
     "\ufeff" + ONE_LINE + "\n" + ONE_LINE + "\n",
     ONE_LINE + "\n\ufeff" + ONE_LINE + "\n",
+    ONE_LINE + "\n" + ONE_LINE,
+    ONE_LINE + "\r\n\n" + ONE_LINE + "\r\n" + ONE_LINE,
+    "\n".join([ONE_LINE, "not json", ONE_LINE.replace("x1", "x" * 300), "", ONE_LINE]),
 ])
 def test_blank_lines_crlf_and_bom_match_per_line(text):
     assert_same_as_per_line(text)
@@ -438,6 +460,10 @@ def test_timestamp_oracle():
     for value in TIMESTAMPS + shaped:
         assert outcome(parse_timestamp, value) == outcome(reference_parse, value), value
     assert sum(isinstance(outcome(parse_timestamp, v), int) for v in shaped) > 40_000
+    for value in shaped:  # the block scan's per-field reader: the same value, or None
+        expected = outcome(parse_timestamp, value)
+        assert canonical_seconds(value[:10], value[11:13], value[14:16], value[17:19]) == (
+            expected if isinstance(expected, int) else None), value
 
     week_53 = [date(2015, 12, 28), date(2016, 1, 3), date(2020, 12, 31), date(2021, 1, 3),
                date(1001, 12, 28), date(9998, 12, 31)]
@@ -458,7 +484,7 @@ def test_valid_lines_that_are_not_canonical_read_the_same():
     """Reordered keys, spaced separators, integer ts and raw non-ASCII users."""
     cfg = SynthConfig(users_per_side=(6, 6), pages_per_side=(3, 2),
                       actions_per_user=("fixed", 5), posts_per_page=4, seed=11)
-    records = [replace(r, user=r.user + "\u00e9") if r.user.endswith("1") else r
+    records = [r._replace(user=r.user + "\u00e9") if r.user.endswith("1") else r
                for r in generate(cfg)[0].records]
     canonical = serialize_records(Dataset(records))
     lines = []
@@ -473,7 +499,7 @@ def test_valid_lines_that_are_not_canonical_read_the_same():
         else:
             lines.append(json.dumps({**obj, "ts": parse_timestamp(obj["ts"])},
                                     separators=(",", ":")))
-    assert not any(map(ingest._CANONICAL_LINE.fullmatch, lines))
+    assert not any(map(is_canonical, lines))
     text = "\n".join(lines) + "\n"
     assert_same_as_per_line(text)
     assert parse_records(text).records == parse_records(canonical).records
@@ -483,7 +509,7 @@ def test_valid_lines_that_are_not_canonical_read_the_same():
                                       ('"2014', '"\t2014'), ('Z"', 'Z\x1f"')])
 def test_raw_characters_beyond_printable_ascii_match_per_line(old, new):
     line = ONE_LINE.replace(old, new)
-    assert not ingest._CANONICAL_LINE.fullmatch(line)
+    assert not is_canonical(line)
     assert_same_as_per_line(line + "\n")
 
 
@@ -530,6 +556,34 @@ def test_parse_interns_strings():
     text = (ONE_LINE + "\n") * 3
     a, b, c = parse_records(text).records
     assert a.user is b.user is c.user and a.page is c.page and a.post is b.post
+
+
+def test_parse_holds_one_block_not_the_file(tmp_path):
+    """Peak memory of a parse, above the records it keeps, is a few blocks.
+
+    The file is about 40 blocks, so reading it whole would exceed the bound;
+    its 24,200 records keep the list-to-tuple copy (8 bytes each) to 3 blocks.
+    """
+    cfg = SynthConfig(users_per_side=(600, 600), pages_per_side=(12, 8),
+                      actions_per_user=("fixed", 20), posts_per_page=10, seed=4)
+    path = tmp_path / "d.jsonl"
+    path.write_text(serialize_records(generate(cfg)[0]), encoding="utf-8")
+    bound = 16 * ingest.BLOCK_CHARS
+    assert path.stat().st_size > 2 * bound
+
+    def overhead(parse):
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                d = parse(fh)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 24_200
+        return peak - current
+
+    assert overhead(parse_records) <= bound
+    assert overhead(lambda fh: parse_records(fh.read())) > bound
 
 
 # --- CSV fields over the csv module's field size limit -------------------------

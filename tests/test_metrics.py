@@ -325,3 +325,7 @@ def test_loess_input_validation():
         loess_fit([1, 2], [1, 2])
     with pytest.raises(ValueError):
         loess_fit([1, 2, 3, 4], [1, 2, 3, 4], span=0.2)
+    # every neighbour of 0.5 is at the tricube's edge, so none has weight
+    with pytest.warns(DegenerateDataWarning), \
+            pytest.raises(ValueError, match="no data point has positive weight at x = 0.5"):
+        loess_fit([0, 0, 1, 1], [1, 2, 3, 4], eval_points=[0.5])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from echonet import temporal
 from echonet.compare import DegenerateDataWarning
+from echonet.metrics import pages_per_window
 from echonet.temporal import (
     activity_series,
     cohesion_series,
@@ -12,7 +14,7 @@ from echonet.temporal import (
     manova_pillai,
     two_way_anova,
 )
-from echonet.timebins import quarter_of
+from echonet.timebins import SECONDS_PER_DAY, WINDOW_KEYS, iso_week_of, quarter_of
 
 from conftest import dataset, random_dataset, rec
 
@@ -65,6 +67,25 @@ def test_series_matches_brute_force_group_by():
             assert count == len({r.page for r in relevant})
         else:
             assert count == len({r.user for r in relevant})
+
+
+def test_calendar_bins_are_computed_once_per_day(monkeypatch):
+    d = random_dataset(600, seed=5, ts_range=("2014-01-01T00:00:00Z",
+                                              "2014-03-31T23:59:59Z"))
+    labels = {p: ("pro" if p < "p04" else "anti") for p in d.pages}
+    days = []
+
+    def counting(key_of):
+        return lambda ts: days.append(ts // SECONDS_PER_DAY) or key_of(ts)
+
+    monkeypatch.setattr(temporal, "quarter_of", counting(quarter_of))
+    monkeypatch.setitem(WINDOW_KEYS, "week", counting(iso_week_of))
+    for run in (lambda: activity_series(d, labels),
+                lambda: cohesion_series(d, labels, algorithms=("labelprop",)),
+                lambda: pages_per_window(d, "week")):
+        days.clear()
+        run()
+        assert 0 < len(days) == len(set(days)) <= 90
 
 
 # ------------------------------------------------------------------- cohesion
