@@ -1,9 +1,12 @@
 import hashlib
+import heapq
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from echonet import community
 from echonet.community import (
     fastgreedy,
     label_propagation,
@@ -385,13 +388,15 @@ PINNED = {
 }
 
 
+DETECTORS = {"fastgreedy": fastgreedy,
+             "walktrap2": lambda g: walktrap(g, steps=2),
+             "walktrap4": lambda g: walktrap(g, steps=4)}
+
+
 def dendrogram_digest(name, graphs):
-    detect = {"fastgreedy": fastgreedy,
-              "walktrap2": lambda g: walktrap(g, steps=2),
-              "walktrap4": lambda g: walktrap(g, steps=4)}[name]
     h = hashlib.sha256()
     for g in graphs:
-        part, dendro = detect(g)
+        part, dendro = DETECTORS[name](g)
         h.update(dendro.to_csv().encode() + part.to_csv().encode()
                  + f"{dendro.best_step},{dendro.best_score!r}\n".encode())
     return h.hexdigest()
@@ -400,6 +405,38 @@ def dendrogram_digest(name, graphs):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_dendrograms_and_cuts_are_pinned(name):
     assert dendrogram_digest(name, pinned_graphs()) == PINNED[name]
+
+
+# SHA-256 over every entry the merge loop pops from its heap on the 40 pinned
+# graphs: the score's exact bits, then the min ids and community ids. Unlike
+# PINNED it sees a last-bit change in a score that does not reorder merges. The
+# large graphs are left out: there walktrap's distances can differ in the last
+# bit between BLAS thread counts.
+PINNED_HEAP_POPS = {
+    "fastgreedy": "d644b3c88444f727fb473d2fb519293339b8cc170797b8f57bd4d38ae0689aea",
+    "walktrap2": "f70922a52d8ee7d7699f66bb12227172c1d1f4e1e45abeea28b62a2c5c603e14",
+    "walktrap4": "fd9acadbd9808a662c8457ab36c3894f0ce20cb82d2193c59ef778346a1c24d7",
+}
+
+
+def heap_pop_digest(name, graphs, monkeypatch):
+    h = hashlib.sha256()
+
+    def heappop(heap):
+        item = heapq.heappop(heap)
+        h.update(f"{float(item[0]).hex()},{item[1:]}\n".encode())
+        return item
+
+    monkeypatch.setattr(community, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+    for g in graphs:
+        DETECTORS[name](g)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HEAP_POPS))
+def test_heap_pops_are_pinned(name, monkeypatch):
+    assert heap_pop_digest(name, pinned_graphs(), monkeypatch) == PINNED_HEAP_POPS[name]
 
 
 def large_pinned_graphs():

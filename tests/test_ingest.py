@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from datetime import date, datetime, timezone
+from functools import partial
 
 import pytest
 
@@ -291,18 +292,23 @@ def per_line(text: str, strict: bool):
 BLOCK_SIZES = (1, 7, 64, ingest.BLOCK_CHARS)
 
 
-def assert_same_as_per_line(text: str):
-    """parse_records equals the per-line path, in both modes, at every block size."""
+def assert_same_as_per_line(text: str, open_stream=None):
+    """parse_records equals the per-line path, in both modes, at every block size.
+
+    ``open_stream()`` opens a new stream whose lines read as ``text``, such as
+    a file; by default the parse reads ``text`` itself.
+    """
+    open_stream = open_stream or partial(io.StringIO, text)
     for strict in (True, False):
         try:
             expected = per_line(text, strict)
         except ParseError as exc:
             expected = (exc.line_no, exc.reason)
         for block in BLOCK_SIZES:
-            with pytest.MonkeyPatch.context() as mp:
+            with pytest.MonkeyPatch.context() as mp, open_stream() as stream:
                 mp.setattr(ingest, "BLOCK_CHARS", block)
                 try:
-                    d = parse_records(text, strict=strict)
+                    d = parse_records(stream, strict=strict)
                 except ParseError as exc:
                     got = (exc.line_no, exc.reason)
                 else:
@@ -371,6 +377,18 @@ def test_crlf_file_and_leading_bom_file(tmp_path):
     with open(path, encoding="utf-8") as fh:
         d = parse_records(fh, strict=False)
     assert len(d) == 2 and d.skipped_lines == 1
+
+
+def test_file_line_ends_and_a_long_line_match_per_line(tmp_path):
+    """A file opened as the CLI opens it, with CRLF and lone CR line ends, a
+    line longer than a block, a bad line and an unended last line."""
+    lines = [ONE_LINE, ONE_LINE.replace("x1", "x" * (ingest.BLOCK_CHARS + 100)),
+             "not json", ONE_LINE.replace("u1", "u2"), "", ONE_LINE.replace("u1", "u3")]
+    path = tmp_path / "d.jsonl"
+    path.write_bytes("\r\n".join(lines[:3]).encode() + b"\r" + "\r".join(lines[3:]).encode())
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    assert text == "\n".join(lines)
+    assert_same_as_per_line(text, partial(open, path, encoding="utf-8", errors="surrogateescape"))
 
 
 def test_invalid_json_beyond_json_decode_error_is_a_parse_error():

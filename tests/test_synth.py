@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -131,3 +133,41 @@ def test_lognormal_activity_capped():
             per_user[r.user] = per_user.get(r.user, 0) + 1
     assert per_user
     assert all(1 <= n <= 5000 for n in per_user.values())
+
+
+# --- pinned outputs of the less common configurations -----------------------
+
+def synth_digest(cfg) -> str:
+    """SHA-256 of the canonical records, both truth maps and the labels, in order."""
+    d, truth, labels = generate(cfg)
+    h = hashlib.sha256(serialize_records(d).encode())
+    for mapping in (truth.page_side, truth.user_side, labels):
+        h.update(repr(mapping).encode())
+    return h.hexdigest()
+
+
+SYNTH_CASES = {
+    "no_posts": small_config(posts_per_page=0),
+    "no_posts_sub_blocks": small_config(posts_per_page=0, pages_per_side=(15, 4),
+                                        sub_blocks=((6, 5, 4), (4,))),
+    "one_page_side": small_config(users_per_side=(40, 0), pages_per_side=(5, 0), p_out=0.0),
+    "lognormal": small_config(actions_per_user=("lognormal", 2.0, 1.0), seed=21),
+}
+
+# A digest may only change with a CHANGES.md entry that explains the behaviour change.
+SYNTH_PINNED = {
+    "lognormal": "6e6565bf01224a3b00c0f411498477905e8b1eee1f0e40b828a1bf0fe092d4a1",
+    "no_posts": "dcb251a2ee43ba674691e173a044e3832a4cb810d05a31c07fc4845285dfc472",
+    "no_posts_sub_blocks": "fe1a2b9f7ad421ac38755587c473cfecd09bc997bf66204e7b20d20f50cd7b8b",
+    "one_page_side": "47daa00a7f1d7147ce45a40e281fd18032c2582d610df18afb1f76b16992e847",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_CASES))
+def test_synth_output_is_pinned(name):
+    assert synth_digest(SYNTH_CASES[name]) == SYNTH_PINNED[name]
+
+
+def test_one_block_per_side_is_no_sub_blocks():
+    cfg = small_config(pages_per_side=(15, 4))
+    assert synth_digest(replace(cfg, sub_blocks=((15,), (4,)))) == synth_digest(cfg)
