@@ -283,6 +283,12 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
     walk matrix, plus one length-n sum per live merged community. Process
     peak RSS was 80 MB at 1,000 pages and 193 MB at 2,500 (sparse corpora
     with 29,453 and 74,291 edges, numpy 2.4, 2-vCPU x86-64 VM).
+
+    The walk matrix comes from BLAS (``matrix_power``), which may split its
+    sums by thread, so on large graphs a Ward distance can differ in the last
+    bit between BLAS thread counts (seen at 240 and 600 nodes, 1 against 2
+    OpenBLAS threads) and a near-tie could then merge in another order. No
+    pinned dendrogram or golden file has changed between 1 and 2 threads.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from itertools import chain, count, groupby, repeat
+from itertools import count, groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not, itemgetter
 from typing import NamedTuple
@@ -146,12 +146,12 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     with ``errors="surrogateescape"``: a line holding a byte that is not UTF-8
     is then a malformed line ("invalid UTF-8") like any other.
 
-    JSONL is read in blocks of whole lines ended by "\\n", about BLOCK_CHARS
-    characters each, and one ``_LINE.findall`` per block reads its canonical
-    lines in bulk. Any other line, or one whose timestamp canonical_seconds
-    rejects, goes with its line number to the per-line path
-    (``_parse_jsonl_lines``), the only source of ParseError messages and skip
-    counts.
+    JSONL is read in blocks of whole lines, one ``stream.readlines(BLOCK_CHARS)``
+    (lines until they pass BLOCK_CHARS characters) each, and one
+    ``_LINE.findall`` per block reads its canonical lines in bulk. Any other
+    line, or one whose timestamp canonical_seconds rejects, goes with its line
+    number to the per-line path (``_parse_jsonl_lines``), the only source of
+    ParseError messages and skip counts.
     """
     if isinstance(stream, (str, bytes)):
         if isinstance(stream, bytes):
@@ -164,16 +164,10 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     skipped = 0
     if format == "jsonl":
         intern = {}.setdefault
-        line_no, pending = 1, []  # pending: the text of an unfinished line
-        # the "\n" chunk ends a last line that the stream leaves unended
-        for chunk in chain(iter(partial(stream.read, BLOCK_CHARS), ""), ["\n"]):
-            cut = chunk.rfind("\n") + 1
-            if cut:
-                pending.append(chunk[:cut])
-                line_no, n = _scan_block("".join(pending), line_no, strict, records, intern)
-                skipped += n
-                pending = []
-            pending.append(chunk[cut:])
+        line_no = 1
+        for lines in iter(partial(stream.readlines, BLOCK_CHARS), []):
+            line_no, n = _scan_block("".join(lines), line_no, strict, records, intern)
+            skipped += n
     else:
         for line_no, row in _csv_rows(stream):
             if not row:
@@ -195,9 +189,9 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
 
 
 def _scan_block(block: str, line_no: int, strict: bool, records: list, intern):
-    """Append the records of a block of lines from ``line_no`` on; return the
-    next line's number and the lines skipped."""
-    rows = _LINE.findall(block, 0, len(block) - 1)
+    """Append the records of a block of whole lines from ``line_no`` on; return
+    the next line's number and the lines skipped."""
+    rows = _LINE.findall(block, 0, len(block) - block.endswith("\n"))
     *columns, days, hours, minutes, seconds = zip(*rows)
     stamps = list(map(canonical_seconds, days, hours, minutes, seconds))
     lines = block.split("\n") if None in stamps else ()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -38,9 +38,9 @@ class SynthConfig:
     posts_per_page: int = 50
     time_range: tuple = (date(2010, 1, 1), date(2017, 5, 31))
     seed: int = 0
-    # optional user-disjoint page blocks per side, e.g. ((6, 5, 4), (15,)):
-    # users split across blocks proportionally to block page counts, and
-    # own-side actions stay within the user's block
+    # user-disjoint page blocks per side, e.g. ((6, 5, 4), (15,)): users split
+    # across blocks proportionally to block page counts, and own-side actions
+    # stay within the user's block; None is one block per side
     sub_blocks: tuple | None = None
 
     def validate(self) -> None:
@@ -52,9 +52,13 @@ class SynthConfig:
             raise ValueError("counts must be non-negative")
         if self.posts_per_page < 0:
             raise ValueError("posts_per_page must be non-negative")
-        for side, users, pages in zip(SIDES, self.users_per_side, self.pages_per_side):
+        for si, (side, users, pages) in enumerate(zip(SIDES, self.users_per_side,
+                                                      self.pages_per_side)):
             if users > 0 and pages == 0:
                 raise ValueError(f"side {side!r} has {users} users but no pages")
+            if users > 0 and self.p_out > 0 and self.pages_per_side[1 - si] == 0:
+                raise ValueError(f"side {side!r} has {users} users and p_out {self.p_out}, "
+                                 f"but side {SIDES[1 - si]!r} has no pages")
         kind = self.actions_per_user[0]
         if kind == "fixed":
             if len(self.actions_per_user) != 2 or self.actions_per_user[1] < 0:
@@ -92,7 +96,7 @@ def _entity_rng(seed: int, entity: int) -> np.random.Generator:
 
 def _split_proportional(total: int, weights: tuple[int, ...]) -> list[int]:
     """Largest-remainder split of ``total`` across ``weights``."""
-    wsum = sum(weights)
+    wsum = sum(weights) or 1  # all weights 0: a side with no pages, so no users
     raw = [total * w / wsum for w in weights]
     out = [int(math.floor(x)) for x in raw]
     rest = total - sum(out)
@@ -116,53 +120,34 @@ def generate(config: SynthConfig):
     t0 = day_start(parse_date(config.time_range[0]))
     t1 = day_end(parse_date(config.time_range[1]))
 
-    pages_by_side = {}
-    for side, n_pages in zip(SIDES, config.pages_per_side):
-        pages_by_side[side] = [f"{side}_p{i:04d}" for i in range(n_pages)]
-    all_pages = pages_by_side["pro"] + pages_by_side["anti"]
-
-    # block boundaries: list of (start, stop) page-index slices per side
-    blocks_by_side = {}
-    for si, side in enumerate(SIDES):
-        if config.sub_blocks is None:
-            blocks_by_side[side] = [(0, config.pages_per_side[si])]
-        else:
-            bounds, at = [], 0
-            for b in config.sub_blocks[si]:
-                bounds.append((at, at + b))
-                at += b
-            blocks_by_side[side] = bounds
-
-    page_side: dict[str, str] = {}
+    pages_by_side = {side: [f"{side}_p{i:04d}" for i in range(n_pages)]
+                     for side, n_pages in zip(SIDES, config.pages_per_side)}
+    page_side = {page: side for side in SIDES for page in pages_by_side[side]}
     user_side: dict[str, str] = {}
     records: list[InteractionRecord] = []
 
     # page posts, one Philox stream per page
     post_ids: dict[str, list[str]] = {}
-    side_of_index = ["pro"] * config.pages_per_side[0] + ["anti"] * config.pages_per_side[1]
-    for page_index, page in enumerate(all_pages):
-        page_side[page] = side_of_index[page_index]
+    for page_index, page in enumerate(page_side):
         rng = _entity_rng(config.seed, _PAGE_STREAM + page_index)
         ts = rng.integers(t0, t1 + 1, size=config.posts_per_page).tolist()
         ids = [f"{page}_s{j:05d}" for j in range(config.posts_per_page)]
-        post_ids[page] = ids
+        post_ids[page] = ids or [f"{page}_s0"]  # what actions target on a page without posts
         records += map(tuple.__new__, repeat(InteractionRecord),
                        zip(repeat(page), repeat(page), ids, repeat("post"), ts))
 
-    # per-user action streams
-    user_index = 0
+    # per-user action streams, numbered in the order users are made
     for si, side in enumerate(SIDES):
-        other = SIDES[1 - si]
-        n_users = config.users_per_side[si]
-        blocks = blocks_by_side[side]
-        users_per_block = _split_proportional(
-            n_users, tuple(b - a for a, b in blocks)) if len(blocks) > 1 else [n_users]
-        block_of_user = np.repeat(np.arange(len(blocks)), users_per_block)
-        for u in range(n_users):
+        other = pages_by_side[SIDES[1 - si]]
+        blocks = config.sub_blocks[si] if config.sub_blocks else (config.pages_per_side[si],)
+        ends = list(accumulate(blocks))
+        block_pages = [pages_by_side[side][lo:hi] for lo, hi in zip([0] + ends, ends)]
+        users_per_block = _split_proportional(config.users_per_side[si], blocks)
+        own_of_user = [own for own, n in zip(block_pages, users_per_block) for _ in range(n)]
+        for u, own in enumerate(own_of_user):
             user = f"{side}_u{u:06d}"
+            rng = _entity_rng(config.seed, _USER_STREAM + len(user_side))
             user_side[user] = side
-            rng = _entity_rng(config.seed, _USER_STREAM + user_index)
-            user_index += 1
 
             if config.actions_per_user[0] == "fixed":
                 n_act = int(config.actions_per_user[1])
@@ -179,11 +164,9 @@ def generate(config: SynthConfig):
             is_comment = (rng.random(n_act) < config.comment_fraction).tolist()
             ts = rng.integers(t0, t1 + 1, size=n_act).tolist()
 
-            lo, hi = blocks[block_of_user[u]] if len(blocks) > 1 else blocks[0]
-            pools = (pages_by_side[side][lo:hi], pages_by_side[other])  # [own, other][cross]
+            pools = (own, other)  # indexed by cross
             pages = [pools[c][int(pu * len(pools[c]))] for c, pu in zip(cross, page_u)]
-            posts = ([post_ids[page][k] for page, k in zip(pages, post_idx)]
-                     if config.posts_per_page else [f"{page}_s0" for page in pages])
+            posts = [post_ids[page][k] for page, k in zip(pages, post_idx)]
             actions = ["comment" if c else "like" for c in is_comment]
             records += map(tuple.__new__, repeat(InteractionRecord),
                            zip(repeat(user), pages, posts, actions, ts))

@@ -77,29 +77,21 @@ def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     dataset's span is emitted, zeros included.
     """
     communities = sorted(set(labels.values()))
-    quarters = d.quarter_span()
-    page_sets: dict[tuple, set[str]] = {}
-    user_sets: dict[tuple, set[str]] = {}
+    # each action's page and user measure, built once so no record hashes a new string
+    measures = {a: ("active_pages_" + a, "active_users_" + a) for a in ("post", "like", "comment")}
+    sets: dict[tuple, set[str]] = {}  # (quarter, community, measure) -> pages or users
     quarter = by_day(quarter_of)
     for r in d.records:
         side = labels.get(r.page)
         if side is None:
             continue
         q = quarter(r.ts)
-        page_sets.setdefault((q, side, r.action), set()).add(r.page)
-        if r.action in ("like", "comment"):
-            user_sets.setdefault((q, side, r.action), set()).add(r.user)
-    out = []
-    for q in quarters:
-        for side in communities:
-            for measure in MEASURES:
-                entity, action = measure.split("_")[1], measure.split("_")[2]
-                if entity == "pages":
-                    count = len(page_sets.get((q, side, action), ()))
-                else:
-                    count = len(user_sets.get((q, side, action), ()))
-                out.append(SeriesPoint(q, side, measure, count))
-    return out
+        pages, users = measures[r.action]
+        sets.setdefault((q, side, pages), set()).add(r.page)
+        if r.action != "post":
+            sets.setdefault((q, side, users), set()).add(r.user)
+    return [SeriesPoint(q, side, measure, len(sets.get((q, side, measure), ())))
+            for q in d.quarter_span() for side in communities for measure in MEASURES]
 
 
 def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",

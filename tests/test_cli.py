@@ -328,11 +328,22 @@ TINY_SYNTH = ["synth", "--users", "2,2", "--pages", "1,1", "--posts-per-page", "
      "time range 0999-01-01..0999-12-31 is outside 1000-01-01..9999-12-31"),
     (["--actions", "lognormal:nan,1"], "bad lognormal activity spec ('lognormal', nan, 1.0)"),
     (["--actions", "lognormal:1,inf"], "bad lognormal activity spec ('lognormal', 1.0, inf)"),
+    (["--users", "30,0", "--pages", "5,0"],
+     "side 'pro' has 30 users and p_out 0.02, but side 'anti' has no pages"),
 ])
 def test_synth_rejects_what_it_cannot_write(tmp_path, capsys, flags, message):
     assert main(TINY_SYNTH + ["--out-dir", str(tmp_path)] + flags) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "data.jsonl").exists()
+
+
+def test_synth_writes_a_one_sided_corpus_without_cross_actions(tmp_path):
+    run(*TINY_SYNTH, "--out-dir", tmp_path, "--users", "30,0", "--pages", "5,0", "--p-out", "0",
+        "--user-truth", "users.csv")
+    pages = {json.loads(line)["page"] for line in open(tmp_path / "data.jsonl")}
+    assert pages == {f"pro_p000{i}" for i in range(5)}
+    assert {label for _page, label in read_csv(tmp_path / "labels.csv")[1:]} == {"pro"}
+    assert len(read_csv(tmp_path / "users.csv")) == 1 + 30
 
 
 def test_synth_caps_an_overflowing_lognormal_draw(tmp_path):

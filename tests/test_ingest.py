@@ -337,8 +337,8 @@ def test_bad_line_on_each_side_of_a_chunk_boundary(monkeypatch):
     lines[3] = "not json"
     lines[4] = lines[4][:-1]      # truncated
     text = "\n".join(lines) + "\n"
-    boundary = len("\n".join(lines[:4])) + 1  # the first block ends after line 4
-    monkeypatch.setattr(ingest, "BLOCK_CHARS", boundary)
+    # the first block ends after line 4: readlines stops once its lines pass the hint
+    monkeypatch.setattr(ingest, "BLOCK_CHARS", len("\n".join(lines[:4])))
     with pytest.raises(ParseError) as exc:
         parse_records(text)
     assert exc.value.line_no == 4
