@@ -41,7 +41,7 @@ from .metrics import (
     user_engagement,
     user_polarization,
 )
-from .synth import SynthConfig, generate
+from .synth import ACTIVITY_CAP, SynthConfig, generate
 from .temporal import (
     activity_series,
     cohesion_series,
@@ -220,15 +220,7 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
         if len(labeled_nodes) < len(g.nodes):
             warnings.warn(f"{len(g.nodes) - len(labeled_nodes)} pages unlabeled; "
                           "labeled row restricted to labeled pages")
-        labeled = Partition.from_labels(labeled_nodes,
-                                        [labels[n] for n in labeled_nodes])
-
-        def restricted(part: Partition) -> Partition:
-            if len(labeled_nodes) == len(g.nodes):
-                return part
-            mapping = part.as_dict()
-            return Partition.from_labels(labeled_nodes,
-                                         [mapping[n] for n in labeled_nodes])
+        labeled = Partition.from_mapping(labels, labeled_nodes)
 
         sums = dict.fromkeys(parts, 0.0)
         for i in range(draws):
@@ -240,7 +232,8 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
                                               "fastgreedy": {}}
         for algo, part in parts.items():
             table["random"][algo] = sums[algo] / draws
-            table["labeled"][algo] = rand_index(labeled, restricted(part))
+            table["labeled"][algo] = rand_index(  # each partition on the labeled pages
+                labeled, Partition.from_mapping(part.as_dict(), labeled_nodes))
             table["fastgreedy"][algo] = rand_index(parts["fastgreedy"], part)
         result[KIND_LABEL[kind]] = table
     return result
@@ -400,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pages", type=_pair, default=(145, 98), metavar="PRO,ANTI")
     p.add_argument("--p-out", dest="p_out", type=float, default=0.02)
     p.add_argument("--actions", default="lognormal:2,1",
-                   help="fixed:N or lognormal:MU,SIGMA per-user action count")
+                   help=f"fixed:N (N at most {ACTIVITY_CAP}) or lognormal:MU,SIGMA "
+                   "per-user action count")
     p.add_argument("--comment-fraction", type=float, default=0.2)
     p.add_argument("--posts-per-page", type=int, default=50)
     p.add_argument("--from", dest="date_from", default="2010-01-01")

@@ -2,9 +2,10 @@
 
 Four algorithms: greedy modularity agglomeration, multi-level local moving,
 random-walk agglomeration, and label propagation. All operate on weighted
-graphs (weights are common-user counts) and return total partitions with
-contiguous community ids. The agglomerative algorithms also return the merge
-dendrogram with the modularity-optimal cut marked.
+graphs (weights are common-user counts), read the graph as built without
+writing to it, and return total partitions with contiguous community ids. The
+agglomerative algorithms also return the merge dendrogram with the
+modularity-optimal cut marked.
 """
 
 from __future__ import annotations
@@ -80,11 +81,9 @@ class _Agglomeration:
         self.m = float(g.total_weight)
         self.size = [1] * n
         self.minid = list(g.nodes)
-        self.strength = [float(s) for s in g.strengths]
-        self.between: list[dict[int, float]] = [dict() for _ in range(n)]
-        for i, j, w in g.edges():
-            self.between[i][j] = float(w)
-            self.between[j][i] = float(w)
+        # integer weights and sums stay below 2**53, so scores round as floats would
+        self.strength = list(g.strengths)
+        self.between: list[dict[int, int]] = [dict(nb) for nb in g.adj]
         self.alive = set(range(n))
         self.merges: list[tuple[int, int, float]] = []
         two_m = 2.0 * self.m
@@ -93,7 +92,7 @@ class _Agglomeration:
         self.best_step = 0
 
     def delta_q(self, a: int, b: int) -> float:
-        w_ab = self.between[a].get(b, 0.0)
+        w_ab = self.between[a].get(b, 0)
         return w_ab / self.m - self.strength[a] * self.strength[b] / (2.0 * self.m ** 2)
 
     def run(self, score, rescore) -> tuple[Partition, Dendrogram]:
@@ -133,11 +132,11 @@ class _Agglomeration:
         self.size.append(self.size[a] + self.size[b])
         self.minid.append(min(self.minid[a], self.minid[b]))
         self.strength.append(self.strength[a] + self.strength[b])
-        nb: dict[int, float] = {}
+        nb: dict[int, int] = {}
         for old in (a, b):
             for c, w in self.between[old].items():
                 if c != a and c != b:
-                    nb[c] = nb.get(c, 0.0) + w
+                    nb[c] = nb.get(c, 0) + w
                     del self.between[c][old]
         self.between.append(nb)
         for c, w in nb.items():
@@ -205,9 +204,8 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
     rng = random.Random(seed)
     m = float(g.total_weight)
 
-    # level-local adjacency: neighbor weights plus self-loop internal weight
-    adj: list[dict[int, float]] = [
-        {j: float(w) for j, w in nb.items()} for nb in g.adj]
+    # level-local adjacency (rebound per level, never written) plus self-loop weight
+    adj = g.adj
     loops = [0.0] * g.n_nodes
     assignment = list(range(g.n_nodes))  # original node -> current supernode
 
@@ -244,10 +242,7 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
         if not moved_any:
             break
         # aggregate communities into supernodes, ordered by first occurrence
-        remap: dict[int, int] = {}
-        for v in range(n):
-            if com[v] not in remap:
-                remap[com[v]] = len(remap)
+        remap = {c: i for i, c in enumerate(dict.fromkeys(com))}
         k = len(remap)
         new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
         new_loops = [0.0] * k
@@ -308,18 +303,21 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
     agg = _Agglomeration(g)
     size = agg.size
     vec_sum = dict(enumerate(Pt))  # community -> summed walk vectors; rows are views
-    # (lower id, higher id) -> Ward distance. Squared differences go in one
-    # array per node, but each distance is its own ddot (inv_d.dot(row)): a
-    # matrix product sums in another order and can change the last bit, and
-    # so the order of tied merges.
+
+    def ward(mean, sa: int, means, sizes: list[int]) -> list[float]:
+        """Ward distances from ``sa`` nodes of mean walk ``mean`` to each row of
+        ``means``; one ddot per row, as a matrix product sums in another order and
+        can change the last bit, and so the order of tied merges."""
+        sq = mean - means
+        sq *= sq
+        return [sa * sc / (sa + sc) / n * float(d) for sc, d in zip(sizes, map(inv_d.dot, sq))]
+
+    # (lower id, higher id) -> Ward distance; a singleton's walk is its mean
     dsigma: dict[tuple[int, int], float] = {}
     for i in range(n):
-        higher = [j for j in agg.between[i] if j > i]
-        if higher:
-            sq = Pt[i] - Pt[higher]
-            sq *= sq
-            for j, d in zip(higher, map(inv_d.dot, sq)):
-                dsigma[i, j] = 0.5 / n * float(d)  # two singletons
+        if higher := [j for j in agg.between[i] if j > i]:
+            dsigma.update(zip([(i, j) for j in higher],
+                              ward(Pt[i], 1, Pt[higher], [1] * len(higher))))
 
     def lance_williams(a: int, b: int, new: int, cs: list[int], ds_ab: float) -> list[float]:
         vec_sum[new] = vec_sum.pop(a) + vec_sum.pop(b)
@@ -327,12 +325,9 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
         nb_a, nb_b = agg.between[a], agg.between[b]
         far = [c for c in cs if c not in nb_a or c not in nb_b]
         if far:  # no distances to both a and b: Ward's distance from the walks
-            sq = vec_sum[new] / sn - (np.stack([vec_sum[c] for c in far])
-                                      / np.array([size[c] for c in far], dtype=float)[:, None])
-            sq *= sq
-            for c, d in zip(far, map(inv_d.dot, sq)):
-                sc = size[c]
-                dsigma[c, new] = sn * sc / (sn + sc) / n * float(d)
+            sizes = [size[c] for c in far]
+            means = np.stack([vec_sum[c] for c in far]) / np.array(sizes, dtype=float)[:, None]
+            dsigma.update(zip([(c, new) for c in far], ward(vec_sum[new] / sn, sn, means, sizes)))
         for c in cs:  # new is the highest id, so every key is (c, new)
             if c in nb_a and c in nb_b:
                 sc = size[c]

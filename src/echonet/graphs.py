@@ -112,20 +112,27 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
 
 
 class ProjectionGraph:
-    """Weighted undirected page graph; weight = number of common users."""
+    """Weighted undirected page graph; weight = number of common users.
+
+    Each ``adj[v]`` maps neighbours to integer weights in ascending neighbour
+    order, whatever order the edges came in. Nothing writes to ``adj`` or
+    ``strengths`` after construction.
+    """
 
     def __init__(self, nodes, edges):
-        """``edges``: iterable of (i, j, weight) with dense indices i != j."""
+        """``edges``: iterable of (i, j, weight) with dense indices i != j, in
+        any order and orientation; a pair given more than once sums its weights."""
         self.nodes: tuple[str, ...] = tuple(nodes)
         self.index = {n: i for i, n in enumerate(self.nodes)}
-        self.adj: list[dict[int, int]] = [dict() for _ in self.nodes]
+        adj: list[dict[int, int]] = [dict() for _ in self.nodes]
         for i, j, w in edges:
             if i == j:
                 raise ValueError(f"self-loop on {self.nodes[i]!r}")
             if w <= 0:
                 raise ValueError("zero-weight pairs must be absent")
-            self.adj[i][j] = self.adj[i].get(j, 0) + int(w)
-            self.adj[j][i] = self.adj[j].get(i, 0) + int(w)
+            adj[i][j] = adj[i].get(j, 0) + int(w)
+            adj[j][i] = adj[j].get(i, 0) + int(w)
+        self.adj = [dict(sorted(nb.items())) for nb in adj]
         self.strengths = [sum(nb.values()) for nb in self.adj]
 
     @property
@@ -141,22 +148,17 @@ class ProjectionGraph:
         return sum(self.strengths) // 2
 
     def edges(self):
-        """Yield (i, j, weight) once per unordered pair, i < j, sorted."""
-        for i in range(len(self.nodes)):
-            for j in sorted(self.adj[i]):
+        """Yield (i, j, weight) once per unordered pair, i < j, in ascending order."""
+        for i, nb in enumerate(self.adj):
+            for j, w in nb.items():
                 if i < j:
-                    yield i, j, self.adj[i][j]
+                    yield i, j, w
 
     def weight(self, a: str, b: str) -> int:
         return self.adj[self.index[a]].get(self.index[b], 0)
 
     def to_csv(self) -> str:
-        rows = []
-        for i, j, w in self.edges():
-            a, b = self.nodes[i], self.nodes[j]
-            if b < a:
-                a, b = b, a
-            rows.append((a, b, w))
+        rows = [(*sorted((self.nodes[i], self.nodes[j])), w) for i, j, w in self.edges()]
         return csv_text(["page_a", "page_b", "weight"], sorted(rows))
 
     @classmethod
@@ -177,14 +179,13 @@ def project(b: BipartiteGraph) -> ProjectionGraph:
     """One-mode projection onto pages, by pair counting.
 
     Page i's row counts, in one ``Counter``, the pages j > i in its users'
-    sorted page lists, never all-pairs set intersection. Edges go in sorted
-    by (i, j), which keeps every ``adj[v]`` in ascending order.
+    sorted page lists, never all-pairs set intersection.
     """
     up = b.user_pages
     return ProjectionGraph(b.pages, [
         (i, j, w) for i, users in enumerate(b.page_users)
-        for j, w in sorted(Counter(chain.from_iterable(
-            up[u][bisect_right(up[u], i):] for u in users)).items())])
+        for j, w in Counter(chain.from_iterable(
+            up[u][bisect_right(up[u], i):] for u in users)).items()])
 
 
 def induced_subgraph(g: ProjectionGraph, keep) -> ProjectionGraph:
@@ -196,12 +197,9 @@ def induced_subgraph(g: ProjectionGraph, keep) -> ProjectionGraph:
     keep_set = set(keep)
     nodes = [n for n in g.nodes if n in keep_set]
     new_index = {n: i for i, n in enumerate(nodes)}
-    edges = []
-    for i, j, w in g.edges():
-        a, b = g.nodes[i], g.nodes[j]
-        if a in new_index and b in new_index:
-            edges.append((new_index[a], new_index[b], w))
-    return ProjectionGraph(nodes, edges)
+    return ProjectionGraph(nodes, [
+        (new_index[g.nodes[i]], new_index[g.nodes[j]], w) for i, j, w in g.edges()
+        if g.nodes[i] in new_index and g.nodes[j] in new_index])
 
 
 def connected_components(g: ProjectionGraph) -> Partition:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
@@ -302,17 +303,16 @@ def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,
     fewer than ``min_posts`` post records are then removed together with all
     of their records. Idempotent for fixed parameters.
     """
+    if min_posts < 0:
+        raise ValueError(f"min_posts must be non-negative, got {min_posts}")
     start, end = parse_date(date_range[0]), parse_date(date_range[1])
     if start > end:
         raise ValueError(f"empty date range {start}..{end}")
     lo, hi = day_start(start), day_end(end)
 
     in_range = [r for r in d.records if lo <= r.ts <= hi]
-    post_counts = dict.fromkeys({r.page for r in in_range}, 0)
-    for r in in_range:
-        if r.action == "post":
-            post_counts[r.page] += 1
-    keep = {p for p, n in post_counts.items() if n >= min_posts}
+    post_counts = Counter(r.page for r in in_range if r.action == "post")
+    keep = {p for p in {r.page for r in in_range} if post_counts[p] >= min_posts}
     return Dataset(r for r in in_range if r.page in keep)
 
 

@@ -24,7 +24,7 @@ SIDES = ("pro", "anti")
 _PAGE_STREAM = 1 << 40
 _USER_STREAM = 2 << 40
 
-ACTIVITY_CAP = 5000
+ACTIVITY_CAP = 5000  # most actions per user: lognormal draws are capped, fixed counts checked
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,13 @@ class SynthConfig:
             if users > 0 and self.p_out > 0 and self.pages_per_side[1 - si] == 0:
                 raise ValueError(f"side {side!r} has {users} users and p_out {self.p_out}, "
                                  f"but side {SIDES[1 - si]!r} has no pages")
-        kind = self.actions_per_user[0]
+        kind, *params = self.actions_per_user
         if kind == "fixed":
-            if len(self.actions_per_user) != 2 or self.actions_per_user[1] < 0:
-                raise ValueError(f"bad fixed activity spec {self.actions_per_user}")
+            if len(params) != 1 or not 0 <= params[0] <= ACTIVITY_CAP:
+                raise ValueError(f"bad fixed activity spec {self.actions_per_user}, "
+                                 f"N must be in 0..{ACTIVITY_CAP}")
         elif kind == "lognormal":
-            if (len(self.actions_per_user) != 3 or self.actions_per_user[2] < 0
-                    or not all(map(math.isfinite, self.actions_per_user[1:]))):
+            if len(params) != 2 or params[1] < 0 or not all(map(math.isfinite, params)):
                 raise ValueError(f"bad lognormal activity spec {self.actions_per_user}")
         else:
             raise ValueError(f"unknown activity distribution {kind!r}")

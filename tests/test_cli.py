@@ -70,6 +70,14 @@ def test_ingest_canonicalizes_and_filters(corpus):
     assert (corpus / "empty.jsonl").read_text() == ""
 
 
+def test_ingest_rejects_a_negative_post_floor(corpus, capsys):
+    rc = main(["ingest", "--out-dir", str(corpus), "--in", "data.jsonl",
+               "--min-posts", "-1", "--out", "filtered.jsonl"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: min_posts must be non-negative, got -1"]
+    assert not (corpus / "filtered.jsonl").exists()
+
+
 def test_summary_table_shape(corpus):
     run("summary", "--out-dir", corpus, "--in", "data.jsonl",
         "--labels", "labels.csv", "--out", "summary.csv")
@@ -330,6 +338,7 @@ TINY_SYNTH = ["synth", "--users", "2,2", "--pages", "1,1", "--posts-per-page", "
     (["--actions", "lognormal:1,inf"], "bad lognormal activity spec ('lognormal', 1.0, inf)"),
     (["--users", "30,0", "--pages", "5,0"],
      "side 'pro' has 30 users and p_out 0.02, but side 'anti' has no pages"),
+    (["--actions", "fixed:5001"], "bad fixed activity spec ('fixed', 5001), N must be in 0..5000"),
 ])
 def test_synth_rejects_what_it_cannot_write(tmp_path, capsys, flags, message):
     assert main(TINY_SYNTH + ["--out-dir", str(tmp_path)] + flags) == 1

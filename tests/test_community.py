@@ -439,6 +439,18 @@ def test_heap_pops_are_pinned(name, monkeypatch):
     assert heap_pop_digest(name, pinned_graphs(), monkeypatch) == PINNED_HEAP_POPS[name]
 
 
+def test_no_detector_writes_to_its_graph():
+    for g in pinned_graphs():
+        rows, strengths = [list(nb.items()) for nb in g.adj], list(g.strengths)
+        fastgreedy(g)
+        walktrap(g, steps=2)
+        walktrap(g, steps=4)
+        louvain(g, seed=3)
+        label_propagation(g, seed=3)
+        assert [list(nb.items()) for nb in g.adj] == rows  # values and key order
+        assert g.strengths == strengths
+
+
 def large_pinned_graphs():
     """Two seeded graphs big enough that walktrap's seeding and its fallback
     distances work on many rows at once: a dense one (240 nodes, density

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -114,6 +115,25 @@ def test_project_sorted_edges_and_adjacency_match_brute_force(seed):
         assert edges == expected
         assert g.strengths == [sum(nb.values()) for nb in g.adj]
         assert g.total_weight == sum(w for _i, _j, w in expected)
+
+
+def test_projection_rows_ascend_whatever_the_edge_order():
+    rng = random.Random(5)
+    n = 14
+    ordered = [(i, j, rng.randint(1, 9)) for i in range(n) for j in range(i + 1, n)
+               if rng.random() < 0.5]
+    shuffled = rng.sample(ordered, len(ordered))
+    flipped = [(j, i, w) for i, j, w in shuffled]
+    nodes = [f"p{rng.randrange(100):02d}_{i}" for i in range(n)]
+    graphs = [ProjectionGraph(nodes, edges) for edges in (shuffled, flipped, ordered)]
+    for g in graphs:
+        assert [list(nb) for nb in g.adj] == [sorted(nb) for nb in graphs[2].adj]
+        assert list(g.edges()) == ordered
+        assert g.to_csv() == graphs[2].to_csv()
+    # a pair given more than once, in either orientation, sums its weights
+    g = ProjectionGraph(["a", "b", "c"], [(2, 0, 1), (1, 0, 2), (0, 1, 3)])
+    assert [list(nb.items()) for nb in g.adj] == [[(1, 5), (2, 1)], [(0, 5)], [(0, 1)]]
+    assert list(g.edges()) == [(0, 1, 5), (0, 2, 1)] and g.strengths == [6, 5, 1]
 
 
 def test_projection_rejects_self_loops_and_zero_weights():

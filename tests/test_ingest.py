@@ -147,6 +147,12 @@ def test_filter_min_posts_zero_keeps_pages_without_posts():
     assert len(filter_dataset(d, min_posts=1)) == 0
 
 
+def test_filter_rejects_a_negative_post_floor():
+    d = dataset(rec("u1", "p1", "like", "2014-02-01"))
+    with pytest.raises(ValueError, match=r"^min_posts must be non-negative, got -1$"):
+        filter_dataset(d, min_posts=-1)
+
+
 def test_filter_date_range_applied_first():
     # 10 posts, one of them before the window: page dies with all its records
     records = [rec("page", "p1", "post", f"2014-01-{d:02d}", post=f"p1_s{d}")
