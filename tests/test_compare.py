@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,41 @@ def test_kappa_invariant_under_joint_label_permutation():
 def test_kappa_node_mismatch_errors():
     with pytest.raises(ValueError):
         cohen_kappa({"a": "x"}, {"b": "x"})
+
+
+def first_occurrence_confusion(r1: dict, r2: dict) -> np.ndarray:
+    """Confusion matrix (rows rater 1) with labels numbered as they first
+    appear: item by item in ``r1``'s order, rater 1's label before rater 2's."""
+    ids: dict = {}
+    for node, a in r1.items():
+        ids.setdefault(a, len(ids))
+        ids.setdefault(r2[node], len(ids))
+    counts = np.zeros((len(ids), len(ids)))
+    for node, a in r1.items():
+        counts[ids[a], ids[r2[node]]] += 1
+    return counts
+
+
+def seeded_labelings(count: int = 200):
+    """Rater pairs over 1-40 items; each rater draws from its own 1-4 of 5
+    labels, so some labels are used by one rater only."""
+    rng = np.random.default_rng(20)
+    labels = np.array(["pro", "anti", "neutral", "mixed", "other"])
+    for _ in range(count):
+        n = int(rng.integers(1, 41))
+        own1 = rng.choice(labels, int(rng.integers(1, 5)), replace=False)
+        own2 = rng.choice(labels, int(rng.integers(1, 5)), replace=False)
+        nodes = [f"n{i}" for i in rng.permutation(n)]
+        yield ({v: str(own1[rng.integers(len(own1))]) for v in nodes},
+               {v: str(own2[rng.integers(len(own2))]) for v in nodes})
+
+
+def test_kappa_equals_kappa_of_the_first_occurrence_confusion_matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateDataWarning)
+        for r1, r2 in seeded_labelings():
+            expected = kappa_from_confusion(first_occurrence_confusion(r1, r2))
+            assert abs(cohen_kappa(r1, r2) - expected) <= 1e-15
 
 
 # ----------------------------------------------------------- random_partition
