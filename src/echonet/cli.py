@@ -37,11 +37,12 @@ from .metrics import (
     loess_fit,
     pages_per_window,
     polarization_histogram,
+    standardize,
     two_largest_sides,
     user_engagement,
     user_polarization,
 )
-from .synth import ACTIVITY_CAP, SynthConfig, generate
+from .synth import ACTIVITY_CAP, PAGES_CAP, POSTS_CAP, USERS_CAP, SynthConfig, generate
 from .temporal import (
     activity_series,
     cohesion_series,
@@ -119,28 +120,34 @@ def _run(args) -> None:
     _write_manifest(_out_path(args, args.out), args, inputs)
 
 
-def _pair(text: str) -> tuple[int, int]:
-    a, b = text.split(",")
-    return (int(a), int(b))
+def _numbers(flag: str, text: str, form: str, kind=int, count=None, prefix="") -> tuple:
+    """The comma-separated numbers after ``prefix`` in ``text``, ``count`` of
+    them if given; otherwise a ValueError that names ``flag`` and its ``form``."""
+    try:
+        values = tuple(kind(v) for v in text.removeprefix(prefix).split(","))
+    except ValueError:
+        values = None
+    if values is None or not text.startswith(prefix) or count not in (None, len(values)):
+        raise ValueError(f"bad {flag} {text!r}, use {form}")
+    return values
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_synth(args) -> dict[str, str]:
-    kind, _, params = args.actions.partition(":")
-    if kind == "fixed":
-        actions = ("fixed", int(params))
-    elif kind == "lognormal":
-        mu, sigma = (float(v) for v in params.split(","))
-        actions = ("lognormal", mu, sigma)
+    # parsed here so a malformed pair is one error line; stored back for the manifest
+    args.users = _numbers("--users", args.users, "PRO,ANTI", count=2)
+    args.pages = _numbers("--pages", args.pages, "PRO,ANTI", count=2)
+    form = "fixed:N or lognormal:MU,SIGMA"
+    if args.actions.startswith("fixed:"):
+        actions = ("fixed", *_numbers("--actions", args.actions, form, int, 1, "fixed:"))
     else:
-        raise ValueError(f"bad --actions {args.actions!r}, use fixed:N or lognormal:MU,SIGMA")
+        actions = ("lognormal", *_numbers("--actions", args.actions, form, float, 2, "lognormal:"))
     sub_blocks = None
     if args.pro_blocks or args.anti_blocks:
-        pro = tuple(int(v) for v in (args.pro_blocks or str(args.pages[0])).split(","))
-        anti = tuple(int(v) for v in (args.anti_blocks or str(args.pages[1])).split(","))
-        sub_blocks = (pro, anti)
+        sub_blocks = (_numbers("--pro-blocks", args.pro_blocks or str(args.pages[0]), "N1,N2,..."),
+                      _numbers("--anti-blocks", args.anti_blocks or str(args.pages[1]), "N1,N2,..."))
     config = SynthConfig(
         users_per_side=args.users,
         pages_per_side=args.pages,
@@ -290,10 +297,9 @@ def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
         if len(members) < 3:
             warnings.warn(f"community {side!r} has fewer than 3 users; skipped")
             continue
-        counts = np.array([pages[e.user] for e in members], dtype=float)
+        counts = [pages[e.user] for e in members]
         if args.standardize_pages:
-            lo, hi = counts.min(), counts.max()
-            counts = (counts - lo) / (hi - lo) if hi > lo else counts * 0.0
+            counts = standardize(counts, "pages per window", side)
         for measure in ("lifetime", "activity"):
             x = np.array([getattr(e, f"{measure}_std") for e in members])
             grid = np.linspace(x.min(), x.max(), args.eval_points)
@@ -389,14 +395,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("synth", cmd_synth, help="generate a planted-polarization dataset")
-    p.add_argument("--users", type=_pair, default=(5000, 5000), metavar="PRO,ANTI")
-    p.add_argument("--pages", type=_pair, default=(145, 98), metavar="PRO,ANTI")
+    p.add_argument("--users", default="5000,5000", metavar="PRO,ANTI",
+                   help=f"users per side (at most {USERS_CAP} each)")
+    p.add_argument("--pages", default="145,98", metavar="PRO,ANTI",
+                   help=f"pages per side (at most {PAGES_CAP} each)")
     p.add_argument("--p-out", dest="p_out", type=float, default=0.02)
     p.add_argument("--actions", default="lognormal:2,1",
                    help=f"fixed:N (N at most {ACTIVITY_CAP}) or lognormal:MU,SIGMA "
                    "per-user action count")
     p.add_argument("--comment-fraction", type=float, default=0.2)
-    p.add_argument("--posts-per-page", type=int, default=50)
+    p.add_argument("--posts-per-page", type=int, default=50,
+                   help=f"posts per page (at most {POSTS_CAP})")
     p.add_argument("--from", dest="date_from", default="2010-01-01")
     p.add_argument("--to", dest="date_to", default="2017-05-31")
     p.add_argument("--pro-blocks", default=None, metavar="N1,N2,...",

@@ -49,36 +49,26 @@ def rand_index(p: Partition, q: Partition) -> float:
 def cohen_kappa(r1: dict, r2: dict) -> float:
     """Cohen's chance-corrected agreement between two labelings.
 
-    kappa = (p_o - p_e) / (1 - p_e) with product-marginal chance agreement.
-    When both raters are constant and identical (p_e = 1) the value is 1 by
-    convention, flagged as degenerate.
+    ``kappa_from_confusion`` of the raters' confusion matrix, its labels
+    numbered as they first appear (item by item in ``r1``'s order, rater 1's
+    label first), never in set order.
     """
     if set(r1) != set(r2):
         diff = sorted(set(r1).symmetric_difference(set(r2)))
         raise ValueError(f"raters cover different node sets; difference: {diff}")
     if not r1:
         raise ValueError("kappa needs at least one rated item")
-    n = len(r1)
-    agree = 0
-    marg1: dict = {}
-    marg2: dict = {}
-    for node, a in r1.items():
-        b = r2[node]
-        if a == b:
-            agree += 1
-        marg1[a] = marg1.get(a, 0) + 1
-        marg2[b] = marg2.get(b, 0) + 1
-    p_o = agree / n
-    p_e = sum(marg1.get(lab, 0) * marg2.get(lab, 0) for lab in marg1) / (n * n)
-    if p_e == 1.0:
-        warnings.warn("both raters constant and equal; kappa = 1 by convention",
-                      DegenerateDataWarning)
-        return 1.0
-    return (p_o - p_e) / (1.0 - p_e)
+    ids: dict = {}
+    cells = [(ids.setdefault(a, len(ids)), ids.setdefault(r2[node], len(ids)))
+             for node, a in r1.items()]
+    k = len(ids)
+    return kappa_from_confusion(np.bincount(
+        [i * k + j for i, j in cells], minlength=k * k).reshape(k, k))
 
 
 def kappa_from_confusion(counts) -> float:
-    """Kappa from a square confusion matrix (rows rater 1, cols rater 2)."""
+    """Kappa (p_o - p_e) / (1 - p_e) of a square confusion matrix (rows rater 1,
+    cols rater 2); p_e = 1, both raters constant and equal, gives 1, flagged."""
     counts = np.asarray(counts, dtype=float)
     n = counts.sum()
     p_o = np.trace(counts) / n

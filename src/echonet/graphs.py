@@ -104,11 +104,16 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
         raise ValueError(f"action must be like or comment, got {action!r}")
     pages = sorted(d.pages)
     pairs = {(r.user, r.page) for r in d.records if r.action == action}
+    return BipartiteGraph(pages, *index_pairs(pairs, pages), action)
+
+
+def index_pairs(pairs, pages) -> tuple[list[str], list[tuple[int, int]]]:
+    """Sorted users of distinct (user, page) ``pairs``, and the pairs as
+    (user id, page id) edges, ids indexing the users and the sorted ``pages``."""
     users = sorted({u for u, _ in pairs})
     uidx = {u: i for i, u in enumerate(users)}
     pidx = {p: i for i, p in enumerate(pages)}
-    edges = [(uidx[u], pidx[p]) for u, p in pairs]
-    return BipartiteGraph(pages, users, edges, action)
+    return users, [(uidx[u], pidx[p]) for u, p in pairs]
 
 
 class ProjectionGraph:

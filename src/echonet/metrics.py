@@ -122,7 +122,7 @@ def polarization_histogram(profiles, bins: int = DEFAULT_BINS) -> Histogram:
     return Histogram(tuple(edges.tolist()), tuple(densities.tolist()), len(rhos))
 
 
-def _standardize(values: list[int], what: str, community: str) -> list[float]:
+def standardize(values: list[int], what: str, community: str) -> list[float]:
     lo, hi = min(values), max(values)
     if hi == lo:
         warnings.warn(f"{what} is constant within community {community!r}; "
@@ -168,8 +168,8 @@ def user_engagement(d: Dataset, sides: dict[str, str],
         rows = grouped[community]
         lifetimes = [r[1] for r in rows]
         activities = [r[2] for r in rows]
-        life_std = _standardize(lifetimes, "lifetime", community)
-        act_std = _standardize(activities, "activity", community)
+        life_std = standardize(lifetimes, "lifetime", community)
+        act_std = standardize(activities, "activity", community)
         for (user, life, act), ls, as_ in zip(rows, life_std, act_std):
             out.append(UserEngagement(user, community, life, act, ls, as_))
     out.sort(key=lambda e: e.user)

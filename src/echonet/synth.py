@@ -25,6 +25,9 @@ _PAGE_STREAM = 1 << 40
 _USER_STREAM = 2 << 40
 
 ACTIVITY_CAP = 5000  # most actions per user: lognormal draws are capped, fixed counts checked
+USERS_CAP = 1_000_000  # most users per side
+PAGES_CAP = 10_000  # most pages per side
+POSTS_CAP = 10_000  # most posts per page
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,12 @@ class SynthConfig:
             raise ValueError(f"p_out must be in [0,1], got {self.p_out}")
         if not 0.0 <= self.comment_fraction <= 1.0:
             raise ValueError(f"comment_fraction must be in [0,1], got {self.comment_fraction}")
-        if min(self.users_per_side) < 0 or min(self.pages_per_side) < 0:
-            raise ValueError("counts must be non-negative")
-        if self.posts_per_page < 0:
-            raise ValueError("posts_per_page must be non-negative")
+        for name, counts, cap in (("users_per_side", self.users_per_side, USERS_CAP),
+                                  ("pages_per_side", self.pages_per_side, PAGES_CAP),
+                                  ("posts_per_page", (self.posts_per_page,), POSTS_CAP)):
+            for n in counts:
+                if not 0 <= n <= cap:
+                    raise ValueError(f"{name} must be in 0..{cap}, got {n}")
         for si, (side, users, pages) in enumerate(zip(SIDES, self.users_per_side,
                                                       self.pages_per_side)):
             if users > 0 and pages == 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
-from .graphs import BipartiteGraph, project
+from .graphs import BipartiteGraph, index_pairs, project
 from .ingest import Dataset
 from .timebins import by_day, quarter_of
 
@@ -125,18 +125,13 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
                 so_far[side] |= pairs
                 pairs = so_far[side]
             pages = sorted({p for _u, p in pairs})
-            users = sorted({u for u, _p in pairs})
             total = len(pages)
             if total < 2:
                 for algo in algorithms:
                     out.append(CohesionPoint(q, side, algo, total, total,
                                              ("degenerate",)))
                 continue
-            pidx = {p: i for i, p in enumerate(pages)}
-            uidx = {u: i for i, u in enumerate(users)}
-            b = BipartiteGraph(pages, users,
-                               [(uidx[u], pidx[p]) for u, p in pairs], action)
-            g = project(b)
+            g = project(BipartiteGraph(pages, *index_pairs(pairs, pages), action))
             for algo in algorithms:
                 if g.total_weight == 0:
                     largest = 1  # no co-actors: every page is its own community
@@ -167,7 +162,7 @@ def f_tail(F: float, df1: int, df2: int) -> float:
 
 
 def _design(obs, n_values: int):
-    """Validate the 2x2 layout and return effect-coded factors plus values."""
+    """Validate the 2x2 layout; return full, additive, no-a and no-b models and values."""
     rows = list(obs)
     if not rows:
         raise ValueError("no observations")
@@ -175,12 +170,10 @@ def _design(obs, n_values: int):
     b_levels = sorted({r[1] for r in rows})
     if len(a_levels) != 2 or len(b_levels) != 2:
         raise ValueError(f"need exactly 2 levels per factor, got {a_levels} x {b_levels}")
-    counts: dict[tuple, int] = {}
-    for r in rows:
-        counts[(r[0], r[1])] = counts.get((r[0], r[1]), 0) + 1
+    cells = {(r[0], r[1]) for r in rows}
     for al in a_levels:
         for bl in b_levels:
-            if counts.get((al, bl), 0) == 0:
+            if (al, bl) not in cells:
                 raise ValueError(f"empty design cell ({al!r}, {bl!r})")
     a = np.array([1.0 if r[0] == a_levels[1] else -1.0 for r in rows])
     b = np.array([1.0 if r[1] == b_levels[1] else -1.0 for r in rows])
@@ -191,7 +184,9 @@ def _design(obs, n_values: int):
         if len(v) != n_values:
             raise ValueError(f"expected {n_values} dependent values, got {len(v)}")
         vals.append(v)
-    return a, b, np.array(vals)
+    one = np.ones(len(rows))
+    return (np.column_stack([one, a, b, a * b]), np.column_stack([one, a, b]),
+            np.column_stack([one, b]), np.column_stack([one, a]), np.array(vals))
 
 
 def _rss_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -208,14 +203,11 @@ def two_way_anova(obs) -> AnovaTable:
     interaction together with both main effects; the interaction has
     df1 = 1 and df2 = N - 4. Constant data yields F = 0, p = 1, flagged.
     """
-    a, b, Y = _design(obs, 1)
+    full, additive, no_a, no_b, Y = _design(obs, 1)
     y = Y[:, 0]
     n = len(y)
     if n < 5:
         raise ValueError(f"need at least 5 observations, got {n}")
-    one = np.ones(n)
-    full = np.column_stack([one, a, b, a * b])
-    additive = np.column_stack([one, a, b])
     ss_total = float(np.sum((y - y.mean()) ** 2))
     df_error = n - 4
     if ss_total == 0.0:
@@ -227,9 +219,10 @@ def two_way_anova(obs) -> AnovaTable:
 
     rss = lambda X: float(_rss_matrix(X, y[:, None])[0, 0])
     sse = rss(full)
-    ss_ab = rss(additive) - sse
-    ss_a = rss(np.column_stack([one, b])) - rss(additive)
-    ss_b = rss(np.column_stack([one, a])) - rss(additive)
+    rss_additive = rss(additive)
+    ss_ab = rss_additive - sse
+    ss_a = rss(no_a) - rss_additive
+    ss_b = rss(no_b) - rss_additive
     mse = sse / df_error
 
     def result(term: str, ss: float) -> AnovaResult:
@@ -257,16 +250,12 @@ def manova_pillai(obs) -> AnovaResult:
     variable this reduces exactly to the univariate ANOVA F.
     """
     rows = list(obs)
-    first = rows[0][2]
-    p = 1 if np.isscalar(first) else len(first)
-    a, b, Y = _design(rows, p)
+    p = 1 if not rows or np.isscalar(rows[0][2]) else len(rows[0][2])
+    full, additive, _, _, Y = _design(rows, p)
     n = len(Y)
     df_error = n - 4
     if df_error <= 0:
         raise ValueError(f"need more than 4 observations, got {n}")
-    one = np.ones(n)
-    full = np.column_stack([one, a, b, a * b])
-    additive = np.column_stack([one, a, b])
     E = _rss_matrix(full, Y)
     H = _rss_matrix(additive, Y) - E
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import weakref
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import echonet
 from echonet import cli, ingest
 from echonet.cli import main
 from echonet.ingest import serialize_records
-from echonet.synth import SynthConfig, generate
+from echonet.synth import PAGES_CAP, POSTS_CAP, USERS_CAP, SynthConfig, generate
 
 
 def run(*args):
@@ -339,6 +340,16 @@ TINY_SYNTH = ["synth", "--users", "2,2", "--pages", "1,1", "--posts-per-page", "
     (["--users", "30,0", "--pages", "5,0"],
      "side 'pro' has 30 users and p_out 0.02, but side 'anti' has no pages"),
     (["--actions", "fixed:5001"], "bad fixed activity spec ('fixed', 5001), N must be in 0..5000"),
+    (["--actions", "lognormal:1"], "bad --actions 'lognormal:1', use fixed:N or lognormal:MU,SIGMA"),
+    (["--actions", "fixed:abc"], "bad --actions 'fixed:abc', use fixed:N or lognormal:MU,SIGMA"),
+    (["--actions", "lognormal:1,x"],
+     "bad --actions 'lognormal:1,x', use fixed:N or lognormal:MU,SIGMA"),
+    (["--pro-blocks", "1,a"], "bad --pro-blocks '1,a', use N1,N2,..."),
+    (["--users", "2"], "bad --users '2', use PRO,ANTI"),
+    (["--users", f"{USERS_CAP + 1},2"], f"users_per_side must be in 0..{USERS_CAP}, got {USERS_CAP + 1}"),
+    (["--pages", f"1,{PAGES_CAP + 1}"], f"pages_per_side must be in 0..{PAGES_CAP}, got {PAGES_CAP + 1}"),
+    (["--posts-per-page", str(POSTS_CAP + 1)],
+     f"posts_per_page must be in 0..{POSTS_CAP}, got {POSTS_CAP + 1}"),
 ])
 def test_synth_rejects_what_it_cannot_write(tmp_path, capsys, flags, message):
     assert main(TINY_SYNTH + ["--out-dir", str(tmp_path)] + flags) == 1
@@ -447,19 +458,41 @@ def test_csv_field_over_size_limit_through_cli(tmp_path, capsys):
     assert len((tmp_path / "f.jsonl").read_text().splitlines()) == 1
 
 
-def python_stdout(code: str) -> str:
-    """Stdout of ``code`` run by a fresh interpreter that imports this echonet."""
+def python_run(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter that imports this echonet."""
     src = str(Path(echonet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.strip()
+                          capture_output=True, text=True)
+
+
+def test_standardize_pages_warns_for_a_community_with_constant_page_counts(tmp_path):
+    # user j likes one page in each of j + 1 ISO weeks; pro user j also likes j % 3
+    # more pages in the first week. Lifetimes and activities differ within each
+    # community, but every anti user's page count per week is 1.
+    week = [f"{date(2014, 2, 3) + timedelta(weeks=k)}T00:00:00Z" for k in range(8)]
+    write_jsonl(tmp_path / "d.jsonl", [
+        rec for j in range(8) for rec in
+        [(f"v{j}", "a1", "like", week[k]) for k in range(j + 1)]
+        + [(f"u{j}", "p1", "like", week[k]) for k in range(j + 1)]
+        + [(f"u{j}", f"p{2 + i}", "like", week[0]) for i in range(j % 3)]])
+    (tmp_path / "l.csv").write_text("p1,pro\np2,pro\np3,pro\na1,anti\n")
+    argv = ["exposure", "--out-dir", str(tmp_path), "--in", "d.jsonl", "--labels", "l.csv",
+            "--standardize-pages", "--out", "curve.csv"]
+    err = python_run(f"from echonet.cli import main\nassert main({argv!r}) == 0\n").stderr
+    warned = [line for line in err.splitlines() if "DegenerateDataWarning" in line]
+    assert len(warned) == 1
+    assert "pages per window is constant within community 'anti'" in warned[0]
+    rows = read_csv(tmp_path / "curve.csv")[1:]
+    assert {r[3] for r in rows if r[0] == "anti"} == {"0.0"}
+    assert {r[3] for r in rows if r[0] == "pro"} != {"0.0"}
 
 
 def test_cli_import_loads_no_scipy_submodules():
     code = ("import sys, echonet.cli; "
             "print([m for m in ('scipy.sparse', 'scipy.special') if m in sys.modules])")
-    assert python_stdout(code) == "[]"
+    assert python_run(code).stdout.strip() == "[]"
 
 
 def test_project_and_validate_load_no_scipy_sparse(corpus):
@@ -471,4 +504,4 @@ def test_project_and_validate_load_no_scipy_sparse(corpus):
         "assert main(['validate', *common, '--labels', 'labels.csv',\n"
         "             '--draws', '5', '--out', 'v.csv']) == 0\n"
         "print('scipy.sparse' in sys.modules)\n")
-    assert python_stdout(code) == "False"
+    assert python_run(code).stdout.strip() == "False"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import struct
 import warnings
 
 import numpy as np
@@ -188,6 +190,18 @@ def test_kappa_equals_kappa_of_the_first_occurrence_confusion_matrix():
         for r1, r2 in seeded_labelings():
             expected = kappa_from_confusion(first_occurrence_confusion(r1, r2))
             assert abs(cohen_kappa(r1, r2) - expected) <= 1e-15
+
+
+# SHA-256 of the float64 bits of cohen_kappa on the 200 seeded labelings: a
+# change in label numbering or in the arithmetic shows as a changed digest.
+KAPPA_BITS = "ab4821c3ba2cabec40cbf44f9b764c335d92fb07c55291742705653017612f05"
+
+
+def test_kappa_bits_are_pinned():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateDataWarning)
+        kappas = [cohen_kappa(r1, r2) for r1, r2 in seeded_labelings()]
+    assert hashlib.sha256(struct.pack(f"<{len(kappas)}d", *kappas)).hexdigest() == KAPPA_BITS
 
 
 # ----------------------------------------------------------- random_partition

@@ -311,6 +311,12 @@ def test_manova_single_dv_reduces_to_univariate_f():
     assert multi.p == pytest.approx(uni.p, abs=1e-12)
 
 
+def test_anova_and_manova_refuse_no_observations():
+    for test in (two_way_anova, manova_pillai):
+        with pytest.raises(ValueError, match="^no observations$"):
+            test([])
+
+
 def test_manova_collinear_dvs_rejected():
     obs = [(a, b, (v, 2.0 * v)) for a, b, v in balanced_fixture()]
     with pytest.raises(ValueError, match="collinear"):
