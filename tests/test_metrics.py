@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -15,6 +17,7 @@ from echonet.metrics import (
     user_engagement,
     user_polarization,
 )
+from echonet.temporal import cohesion_series
 
 from conftest import dataset, random_dataset, rec
 
@@ -248,6 +251,45 @@ def test_page_stats_one_two_three():
     mean, sd = community_page_stats(d, sides)["c1"]
     assert mean == pytest.approx(2.0)
     assert sd == pytest.approx(1.0)
+
+
+# Digests of repr(output) on a corpus with posts, comments, an unmapped page (p07)
+# and a third label value ("mixed"); polarization gets the two-sided map.
+SIDE_MAPPED_PINNED = {
+    ("like", "polarization"): "00437964a986daaf971b652a84f61a1826b271646c67c2cc187cfefe7a5f4a4f",
+    ("like", "engagement"): "9b1b878c8c0fc96584d6e83051a19a48971eb012a4d1a319362c573c62bec014",
+    ("like", "page_stats"): "9311419155acb3a4fd72cb91fdb32af1b797ee802a83a6301f53687a004e09bd",
+    ("like", "cohesion"): "80a45533afa11ae53c3aaeacccaf43590a4c7b717756e88b3fa33cc9de4890bf",
+    ("like", "cumulative"): "5745781d069ada26105fcb1850b634376462789bece56ff2a9dbd2746197b185",
+    ("comment", "polarization"):
+        "316b7e7f5bccb355c7bcd658b1cc284150dea162f02a864fa938139e13b50661",
+    ("comment", "engagement"): "5c63dd3d42dd217f78145be94b42ddecaca90216d6b07aeccaf33de1ee654ac6",
+    ("comment", "page_stats"): "ec58e27573fb3d9808e22e45d9e1911f6e460f639bafb182105d88a0ce632c9b",
+    ("comment", "cohesion"): "28692f34daa5a44b387a6c781a63286f35c5dfa57c6ddeb1f668b0e251b17a2d",
+    ("comment", "cumulative"): "c6387a954e5ae23fde49ca794aa7440ebc73e270b9fa63cb52dfcd7ba82f4ecf",
+}
+
+
+def test_side_mapped_analyses_pinned():
+    labels = {"p00": "pro", "p01": "pro", "p02": "pro", "p03": "anti", "p04": "anti",
+              "p05": "anti", "p06": "mixed"}
+    two_sided = {p: s for p, s in labels.items() if s != "mixed"}
+    d = random_dataset(900, seed=11, n_users=30,
+                       ts_range=("2014-01-01T00:00:00Z", "2015-06-30T23:59:59Z"))
+    digests = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateDataWarning)
+        for action in ("like", "comment"):
+            outputs = {
+                "polarization": user_polarization(d, two_sided, action, min_actions=1),
+                "engagement": user_engagement(d, labels, action),
+                "page_stats": community_page_stats(d, labels, action),
+                "cohesion": cohesion_series(d, labels, action, seed=3),
+                "cumulative": cohesion_series(d, labels, action, seed=3, cumulative=True),
+            }
+            for name, out in outputs.items():
+                digests[action, name] = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digests == SIDE_MAPPED_PINNED
 
 
 # ---------------------------------------------------------------------- loess
