@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -18,10 +19,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .community import ALGORITHMS, derived_seed, fastgreedy, walktrap
+from .community import ALGORITHMS, derived_seed, fastgreedy
 from .compare import rand_index, random_partition
 from .graphs import Partition, build_bipartite, project
 from .ingest import (
+    DEFAULT_MIN_POSTS,
+    DEFAULT_RANGE,
+    ENGAGEMENT_ACTIONS,
     Dataset,
     csv_text,
     dataset_summary,
@@ -32,6 +36,9 @@ from .ingest import (
     write_labels,
 )
 from .metrics import (
+    DEFAULT_BINS,
+    DEFAULT_MIN_ACTIONS,
+    DEFAULT_SPAN,
     MAX_COUNT,
     check_count,
     loess_fit,
@@ -51,7 +58,6 @@ from .temporal import (
 )
 from .timebins import parse_date, parse_quarter, quarter_label
 
-KIND_LABEL = {"like": "likes", "comment": "comments"}
 DV_ACTION = {"posts": "post", "likes": "like", "comments": "comment"}
 
 
@@ -69,7 +75,7 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_manifest(out: Path, args: argparse.Namespace, inputs: list[Path]) -> None:
+def _manifest(args: argparse.Namespace, inputs: dict[str, str]) -> str:
     flags = {k: (str(v) if isinstance(v, Path) else v)
              for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
@@ -82,10 +88,9 @@ def _write_manifest(out: Path, args: argparse.Namespace, inputs: list[Path]) -> 
             "scipy": scipy.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
     }
-    _write_text(Path(str(out) + ".manifest.json"),
-                json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return json.dumps(manifest, sort_keys=True, indent=2) + "\n"
 
 
 def _out_path(args, name: str) -> Path:
@@ -97,9 +102,10 @@ def _run(args) -> None:
     """Run one subcommand: load its inputs, build its outputs, write them all.
 
     Subcommands with ``--in`` get the parsed Dataset and those with
-    ``--labels`` the label map, in that order. The body returns
-    ``{output name: text}`` before anything is written; the manifest goes
-    next to ``--out`` and lists the inputs read.
+    ``--labels`` the label map, in that order. The body returns its
+    ``(output name, text)`` pairs; the manifest goes next to ``--out`` and
+    lists the inputs as they were read. Nothing is written if two outputs,
+    the manifest included, resolve to one file.
     """
     inputs, loaded = [], []
     if hasattr(args, "infile"):
@@ -114,10 +120,15 @@ def _run(args) -> None:
         inputs.append(_out_path(args, args.labels))
         with open(inputs[-1], encoding="utf-8", errors="surrogateescape") as fh:
             loaded.append(read_labels(fh))
-    outputs = args.func(args, *loaded)
-    for name, text in outputs.items():
-        _write_text(_out_path(args, name), text)
-    _write_manifest(_out_path(args, args.out), args, inputs)
+    digests = {str(p): _sha256(p) for p in inputs}  # before --out can overwrite --in
+    outputs = [(_out_path(args, name), text) for name, text in args.func(args, *loaded)]
+    outputs.append((Path(f"{_out_path(args, args.out)}.manifest.json"), _manifest(args, digests)))
+    resolved = [path.resolve() for path, _ in outputs]
+    for i, path in enumerate(resolved):
+        if path in resolved[:i]:
+            raise ValueError(f"two outputs name one file: {outputs[i][0]}")
+    for path, text in outputs:
+        _write_text(path, text)
 
 
 def _numbers(flag: str, text: str, form: str, kind=int, count=None, prefix="") -> tuple:
@@ -135,7 +146,7 @@ def _numbers(flag: str, text: str, form: str, kind=int, count=None, prefix="") -
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_synth(args) -> dict[str, str]:
+def cmd_synth(args) -> list[tuple[str, str]]:
     # parsed here so a malformed pair is one error line; stored back for the manifest
     args.users = _numbers("--users", args.users, "PRO,ANTI", count=2)
     args.pages = _numbers("--pages", args.pages, "PRO,ANTI", count=2)
@@ -160,44 +171,38 @@ def cmd_synth(args) -> dict[str, str]:
         sub_blocks=sub_blocks,
     )
     dataset, truth, labels = generate(config)
-    outputs = {args.out: serialize_records(dataset), args.truth: write_labels(labels)}
+    outputs = [(args.out, serialize_records(dataset)), (args.truth, write_labels(labels))]
     if args.user_truth:
-        outputs[args.user_truth] = write_labels(truth.user_side)
+        outputs.append((args.user_truth, write_labels(truth.user_side)))
     return outputs
 
 
-def cmd_ingest(args, d: Dataset) -> dict[str, str]:
+def cmd_ingest(args, d: Dataset) -> list[tuple[str, str]]:
     filtered = filter_dataset(d, min_posts=args.min_posts,
                               date_range=(parse_date(args.date_from),
                                           parse_date(args.date_to)))
-    return {args.out: serialize_records(filtered)}
+    return [(args.out, serialize_records(filtered))]
 
 
-def cmd_summary(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
-    return {args.out: dataset_summary(d, labels).to_csv()}
+def cmd_summary(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
+    return [(args.out, dataset_summary(d, labels).to_csv())]
 
 
-def cmd_project(args, d: Dataset) -> dict[str, str]:
-    return {args.out: project(build_bipartite(d, args.action)).to_csv()}
+def cmd_project(args, d: Dataset) -> list[tuple[str, str]]:
+    return [(args.out, project(build_bipartite(d, args.action)).to_csv())]
 
 
-def cmd_detect(args, d: Dataset) -> dict[str, str]:
+def cmd_detect(args, d: Dataset) -> list[tuple[str, str]]:
     if args.steps < 1:  # checked for every algorithm, not only walktrap
         raise ValueError(f"steps must be positive, got {args.steps}")
     g = project(build_bipartite(d, args.action))
-    dendro = None
-    if args.algorithm == "fastgreedy":
-        part, dendro = fastgreedy(g)
-    elif args.algorithm == "walktrap":
-        part, dendro = walktrap(g, steps=args.steps)
-    else:
-        part = ALGORITHMS[args.algorithm](
-            g, derived_seed(args.seed, "detect", args.algorithm))
-    outputs = {args.out: part.to_csv()}
+    part, dendro = ALGORITHMS[args.algorithm](
+        g, derived_seed(args.seed, "detect", args.algorithm), args.steps)
+    outputs = [(args.out, part.to_csv())]
     if args.dendrogram:
         if dendro is None:
             raise ValueError(f"{args.algorithm} does not produce a dendrogram")
-        outputs[args.dendrogram] = dendro.to_csv()
+        outputs.append((args.dendrogram, dendro.to_csv()))
     return outputs
 
 
@@ -213,13 +218,13 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
     check_count("draws", draws, 1)
     k = max(len(set(labels.values())), 2)
     result: dict[str, dict[str, dict[str, float]]] = {}
-    for kind in ("like", "comment"):
+    for kind in ENGAGEMENT_ACTIONS:
         b = build_bipartite(d, kind)
         if b.n_edges == 0:
             warnings.warn(f"no {kind} records; sub-table omitted")
             continue
         g = project(b)
-        parts = {algo: ALGORITHMS[algo](g, derived_seed(seed, "validate", kind, algo))
+        parts = {algo: ALGORITHMS[algo](g, derived_seed(seed, "validate", kind, algo))[0]
                  for algo in ALGORITHMS}
         labeled_nodes = [n for n in g.nodes if n in labels]
         if len(labeled_nodes) < 2:
@@ -242,7 +247,7 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
             table["labeled"][algo] = rand_index(  # each partition on the labeled pages
                 labeled, Partition.from_mapping(part.as_dict(), labeled_nodes))
             table["fastgreedy"][algo] = rand_index(parts["fastgreedy"], part)
-        result[KIND_LABEL[kind]] = table
+        result[kind + "s"] = table
     return result
 
 
@@ -257,9 +262,9 @@ def validation_matrix_csv(matrix: dict) -> str:
     return csv_text(["graph", "communities"] + cols, rows)
 
 
-def cmd_validate(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+def cmd_validate(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
     matrix = run_validation_matrix(d, labels, args.seed, draws=args.draws)
-    return {args.out: validation_matrix_csv(matrix)}
+    return [(args.out, validation_matrix_csv(matrix))]
 
 
 def _side_map(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
@@ -270,21 +275,21 @@ def _side_map(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     return two_largest_sides(part)
 
 
-def cmd_polarize(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+def cmd_polarize(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
     sides = _side_map(args, d, labels)
     profiles = user_polarization(d, sides, action=args.action,
                                  min_actions=args.min_actions)
     hist = polarization_histogram(profiles, bins=args.bins)
     rows = [(hist.edges[i], hist.edges[i + 1], hist.densities[i])
             for i in range(len(hist.densities))]
-    outputs = {args.out: csv_text(["bin_left", "bin_right", "density"], rows)}
+    outputs = [(args.out, csv_text(["bin_left", "bin_right", "density"], rows))]
     if args.profiles:
-        outputs[args.profiles] = csv_text(["user", "x", "y", "rho"],
-                                          [(p.user, p.x, p.y, p.rho) for p in profiles])
+        outputs.append((args.profiles, csv_text(["user", "x", "y", "rho"],
+                                                [(p.user, p.x, p.y, p.rho) for p in profiles])))
     return outputs
 
 
-def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
     check_count("eval-points", args.eval_points, 1)
     engagement = user_engagement(d, labels)
     pages = pages_per_window(d, args.window)
@@ -307,17 +312,17 @@ def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
             for i in range(len(grid)):
                 rows.append((side, measure, float(grid[i]), float(fit[i]),
                              float(lo95[i]), float(hi95[i])))
-    return {args.out: csv_text(["community", "measure", "x", "fit", "lo95", "hi95"],
-                               rows)}
+    return [(args.out, csv_text(["community", "measure", "x", "fit", "lo95", "hi95"],
+                                rows))]
 
 
-def cmd_timeline(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+def cmd_timeline(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
     rows = [(quarter_label(s.quarter), s.community, s.measure, s.count)
             for s in activity_series(d, labels)]
-    return {args.out: csv_text(["quarter", "community", "measure", "count"], rows)}
+    return [(args.out, csv_text(["quarter", "community", "measure", "count"], rows))]
 
 
-def cmd_cohesion(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+def cmd_cohesion(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
     algos = tuple(ALGORITHMS) if args.algorithms == "all" else \
         tuple(a.strip() for a in args.algorithms.split(","))
     points = cohesion_series(d, labels, action=args.action, algorithms=algos,
@@ -328,11 +333,11 @@ def cmd_cohesion(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
               file=sys.stderr)
     rows = [(quarter_label(p.quarter), p.community, p.algorithm, p.largest, p.total)
             for p in points]
-    return {args.out: csv_text(["quarter", "community", "algorithm", "largest",
-                                "total"], rows)}
+    return [(args.out, csv_text(["quarter", "community", "algorithm", "largest",
+                                 "total"], rows))]
 
 
-def cmd_anova(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
+def cmd_anova(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
     dvs = [v.strip() for v in args.dv.split(",")]
     for dv in dvs:
         if dv not in DV_ACTION:
@@ -359,7 +364,7 @@ def cmd_anova(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
     else:
         res = manova_pillai(obs)
         rows.append((res.term, res.F, res.df1, res.df2, res.p, res.partial_eta2))
-    return {args.out: csv_text(["term", "F", "df1", "df2", "p", "partial_eta2"], rows)}
+    return [(args.out, csv_text(["term", "F", "df1", "df2", "p", "partial_eta2"], rows))]
 
 
 # --------------------------------------------------------------------- parser
@@ -376,13 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="global seed; per-operation seeds derive from it")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker cap (results never depend on it)")
     common.add_argument("--out-dir", default=".", help="directory for outputs")
     common.add_argument("--out", required=True)
     infile = _parent("--in", dest="infile", required=True)
     labels = _parent("--labels", required=True)
-    action = _parent("--action", choices=("like", "comment"), default="like")
+    action = _parent("--action", choices=ENGAGEMENT_ACTIONS, default="like")
+    dates = argparse.ArgumentParser(add_help=False)
+    dates.add_argument("--from", dest="date_from", default=DEFAULT_RANGE[0].isoformat())
+    dates.add_argument("--to", dest="date_to", default=DEFAULT_RANGE[1].isoformat())
 
     parser = argparse.ArgumentParser(
         prog="echonet",
@@ -394,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("synth", cmd_synth, help="generate a planted-polarization dataset")
+    p = add("synth", cmd_synth, dates, help="generate a planted-polarization dataset")
+    # argparse's private negative-number pattern has no comma, so it reads "-1,2" as an
+    # option; with this one "--users -1,2" reaches the range check as "--users=-1,2" does
+    p._negative_number_matcher = re.compile(r"^-[\d.][\d.,-]*$")
     p.add_argument("--users", default="5000,5000", metavar="PRO,ANTI",
                    help=f"users per side (at most {USERS_CAP} each)")
     p.add_argument("--pages", default="145,98", metavar="PRO,ANTI",
@@ -406,20 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--comment-fraction", type=float, default=0.2)
     p.add_argument("--posts-per-page", type=int, default=50,
                    help=f"posts per page (at most {POSTS_CAP})")
-    p.add_argument("--from", dest="date_from", default="2010-01-01")
-    p.add_argument("--to", dest="date_to", default="2017-05-31")
     p.add_argument("--pro-blocks", default=None, metavar="N1,N2,...",
                    help="user-disjoint page blocks on the pro side")
     p.add_argument("--anti-blocks", default=None, metavar="N1,N2,...")
     p.add_argument("--truth", required=True, help="page label CSV output")
     p.add_argument("--user-truth", default=None)
 
-    p = add("ingest", cmd_ingest, infile,
+    p = add("ingest", cmd_ingest, infile, dates,
             help="parse, filter and canonicalize an interaction log")
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--min-posts", type=int, default=10)
-    p.add_argument("--from", dest="date_from", default="2010-01-01")
-    p.add_argument("--to", dest="date_to", default="2017-05-31")
+    p.add_argument("--min-posts", type=int, default=DEFAULT_MIN_POSTS)
     strictness = p.add_mutually_exclusive_group()
     strictness.add_argument("--strict", dest="strict", action="store_true",
                             default=True)
@@ -441,15 +446,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("polarize", cmd_polarize, infile, labels, action,
             help="per-user polarization density")
     p.add_argument("--sides", choices=("labels", "detected"), default="labels")
-    p.add_argument("--min-actions", type=int, default=10)
-    p.add_argument("--bins", type=int, default=21,
+    p.add_argument("--min-actions", type=int, default=DEFAULT_MIN_ACTIONS)
+    p.add_argument("--bins", type=int, default=DEFAULT_BINS,
                    help=f"histogram bins over [-1, 1] (2..{MAX_COUNT})")
     p.add_argument("--profiles", default=None, help="optional per-user CSV")
 
     p = add("exposure", cmd_exposure, infile, labels,
             help="selective-exposure curves with 95%% confidence bands")
     p.add_argument("--window", choices=("year", "month", "week"), default="week")
-    p.add_argument("--span", type=float, default=0.75)
+    p.add_argument("--span", type=float, default=DEFAULT_SPAN)
     p.add_argument("--eval-points", type=int, default=25,
                    help=f"grid points per fitted curve (1..{MAX_COUNT})")
     p.add_argument("--standardize-pages", action="store_true")
@@ -475,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         _run(args)
     except (ValueError, OSError) as exc:

@@ -281,9 +281,9 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
 
     The walk matrix comes from BLAS (``matrix_power``), which may split its
     sums by thread, so on large graphs a Ward distance can differ in the last
-    bit between BLAS thread counts (seen at 240 and 600 nodes, 1 against 2
-    OpenBLAS threads) and a near-tie could then merge in another order. No
-    pinned dendrogram or golden file has changed between 1 and 2 threads.
+    bit between BLAS thread counts (seen at 240 and 600 nodes, one OpenBLAS
+    thread against two) and a near-tie could then merge in another order. No
+    pinned dendrogram or golden file has changed between one thread and two.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -386,9 +386,10 @@ def derived_seed(seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
 
+# name -> (g, seed, steps=4) -> (partition, dendrogram or None); names resolve per call
 ALGORITHMS = {
-    "fastgreedy": lambda g, seed: fastgreedy(g)[0],
-    "walktrap": lambda g, seed: walktrap(g)[0],
-    "multilevel": lambda g, seed: louvain(g, seed),
-    "labelprop": lambda g, seed: label_propagation(g, seed),
+    "fastgreedy": lambda g, seed, steps=4: fastgreedy(g),
+    "walktrap": lambda g, seed, steps=4: walktrap(g, steps),
+    "multilevel": lambda g, seed, steps=4: (louvain(g, seed), None),
+    "labelprop": lambda g, seed, steps=4: (label_propagation(g, seed), None),
 }

@@ -15,7 +15,7 @@ from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
 
-from .ingest import Dataset, csv_text
+from .ingest import ENGAGEMENT_ACTIONS, Dataset, csv_text
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
     Page nodes cover every page in the dataset; user nodes cover users with at
     least one edge.
     """
-    if action not in ("like", "comment"):
+    if action not in ENGAGEMENT_ACTIONS:
         raise ValueError(f"action must be like or comment, got {action!r}")
     pages = sorted(d.pages)
     pairs = {(r.user, r.page) for r in d.records if r.action == action}

@@ -87,6 +87,12 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
+    def on_sides(self, action: str, sides: dict[str, str]):
+        """Yield (record, side) for each ``action`` record on a page ``sides`` maps."""
+        for r in self.records:
+            if r.action == action and (side := sides.get(r.page)) is not None:
+                yield r, side
+
     def quarter_span(self) -> list[tuple[int, int]]:
         """All calendar quarters between the first and last record, inclusive."""
         if not self.records:

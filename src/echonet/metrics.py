@@ -84,26 +84,19 @@ def two_largest_sides(p: Partition) -> dict[str, str]:
 
 
 def user_polarization(d: Dataset, sides: dict[str, str], action: str = "like",
-                      min_actions: int = DEFAULT_MIN_ACTIONS,
-                      order: tuple[str, str] | None = None) -> list[PolarizationProfile]:
+                      min_actions: int = DEFAULT_MIN_ACTIONS) -> list[PolarizationProfile]:
     """Per-user polarization rho = (x - y) / (x + y) over action counts.
 
-    x counts actions of the given kind on the first side, y on the second
-    (total actions, not distinct pages); actions on unmapped pages are
+    x counts actions of the given kind on the first side in sorted order, y on
+    the second (total actions, not distinct pages); actions on unmapped pages are
     ignored. Only users with x + y >= min_actions are reported.
     """
     if not sides:
         raise ValueError("empty side map")
-    c1, c2 = order if order is not None else side_order(sides)
+    second = side_order(sides)[1]
     counts: dict[str, list[int]] = {}
-    for r in d.records:
-        if r.action != action:
-            continue
-        side = sides.get(r.page)
-        if side == c1:
-            counts.setdefault(r.user, [0, 0])[0] += 1
-        elif side == c2:
-            counts.setdefault(r.user, [0, 0])[1] += 1
+    for r, side in d.on_sides(action, sides):
+        counts.setdefault(r.user, [0, 0])[side == second] += 1
     out = []
     for user in sorted(counts):
         x, y = counts[user]
@@ -141,12 +134,7 @@ def user_engagement(d: Dataset, sides: dict[str, str],
     with a constant measure get standardized values of 0, flagged.
     """
     per_user: dict[str, dict] = {}
-    for r in d.records:
-        if r.action != action:
-            continue
-        side = sides.get(r.page)
-        if side is None:
-            continue
+    for r, side in d.on_sides(action, sides):
         slot = per_user.setdefault(r.user, {"first": r.ts, "last": r.ts, "n": 0,
                                             "by_side": {}})
         slot["first"] = min(slot["first"], r.ts)
@@ -194,12 +182,7 @@ def community_page_stats(d: Dataset, sides: dict[str, str],
                          action: str = "like") -> dict[str, tuple[float, float]]:
     """Per community: (mean, sample SD) of distinct pages liked per user."""
     per: dict[str, dict[str, set[str]]] = {}
-    for r in d.records:
-        if r.action != action:
-            continue
-        side = sides.get(r.page)
-        if side is None:
-            continue
+    for r, side in d.on_sides(action, sides):
         per.setdefault(side, {}).setdefault(r.user, set()).add(r.page)
     out: dict[str, tuple[float, float]] = {}
     for side in sorted(per):

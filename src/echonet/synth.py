@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 from itertools import accumulate, repeat
 
 import numpy as np
 
-from .ingest import Dataset, InteractionRecord
+from .ingest import DEFAULT_RANGE, Dataset, InteractionRecord
 from .timebins import day_end, day_start, parse_date
 
 SIDES = ("pro", "anti")
@@ -39,7 +38,7 @@ class SynthConfig:
     actions_per_user: tuple = ("lognormal", 2.0, 1.0)
     comment_fraction: float = 0.2
     posts_per_page: int = 50
-    time_range: tuple = (date(2010, 1, 1), date(2017, 5, 31))
+    time_range: tuple = DEFAULT_RANGE
     seed: int = 0
     # user-disjoint page blocks per side, e.g. ((6, 5, 4), (15,)): users split
     # across blocks proportionally to block page counts, and own-side actions

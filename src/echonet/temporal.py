@@ -17,7 +17,7 @@ import numpy as np
 from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
 from .graphs import BipartiteGraph, index_pairs, project
-from .ingest import Dataset
+from .ingest import ACTIONS, Dataset
 from .timebins import by_day, quarter_of
 
 MEASURES = (
@@ -78,7 +78,7 @@ def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     """
     communities = sorted(set(labels.values()))
     # each action's page and user measure, built once so no record hashes a new string
-    measures = {a: ("active_pages_" + a, "active_users_" + a) for a in ("post", "like", "comment")}
+    measures = {a: ("active_pages_" + a, "active_users_" + a) for a in ACTIONS}
     sets: dict[tuple, set[str]] = {}  # (quarter, community, measure) -> pages or users
     quarter = by_day(quarter_of)
     for r in d.records:
@@ -112,10 +112,8 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
     communities = sorted(set(labels.values()))
     buckets: dict[tuple, set] = {}  # distinct (user, page) per (quarter, community)
     quarter = by_day(quarter_of)
-    for r in d.records:
-        side = labels.get(r.page)
-        if r.action == action and side is not None:
-            buckets.setdefault((quarter(r.ts), side), set()).add((r.user, r.page))
+    for r, side in d.on_sides(action, labels):
+        buckets.setdefault((quarter(r.ts), side), set()).add((r.user, r.page))
     so_far: dict[str, set] = {side: set() for side in communities}
     out: list[CohesionPoint] = []
     for q in d.quarter_span():
@@ -136,7 +134,7 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
                 if g.total_weight == 0:
                     largest = 1  # no co-actors: every page is its own community
                 else:
-                    part = ALGORITHMS[algo](
+                    part, _ = ALGORITHMS[algo](
                         g, derived_seed(seed, "cohesion", q, side, algo))
                     largest = max(part.sizes())
                 out.append(CohesionPoint(q, side, algo, largest, total))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -350,6 +351,12 @@ TINY_SYNTH = ["synth", "--users", "2,2", "--pages", "1,1", "--posts-per-page", "
     (["--pages", f"1,{PAGES_CAP + 1}"], f"pages_per_side must be in 0..{PAGES_CAP}, got {PAGES_CAP + 1}"),
     (["--posts-per-page", str(POSTS_CAP + 1)],
      f"posts_per_page must be in 0..{POSTS_CAP}, got {POSTS_CAP + 1}"),
+    # a negative pair after a space reads as it does after "="
+    (["--users", "-1,2"], f"users_per_side must be in 0..{USERS_CAP}, got -1"),
+    (["--users=-1,2"], f"users_per_side must be in 0..{USERS_CAP}, got -1"),
+    (["--pages", "-1,2"], f"pages_per_side must be in 0..{PAGES_CAP}, got -1"),
+    (["--pro-blocks", "-1,2"], "pro sub_blocks (-1, 2) must be positive and sum to 1"),
+    (["--anti-blocks", "-1,2"], "anti sub_blocks (-1, 2) must be positive and sum to 1"),
 ])
 def test_synth_rejects_what_it_cannot_write(tmp_path, capsys, flags, message):
     assert main(TINY_SYNTH + ["--out-dir", str(tmp_path)] + flags) == 1
@@ -439,10 +446,35 @@ def test_missing_input_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_threads_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["timeline", "--threads", "0", "--in", "x", "--labels", "y",
-              "--out", "z", "--out-dir", str(tmp_path)])
+def test_manifest_records_an_input_overwritten_in_place_as_it_was_read(tmp_path):
+    write_jsonl(tmp_path / "raw.jsonl", [("u1", "p1", "like", "2014-02-01T00:00:00Z"),
+                                         ("p1", "p1", "post", "2014-02-01T00:00:00Z")])
+    before = hashlib.sha256((tmp_path / "raw.jsonl").read_bytes()).hexdigest()
+    run("ingest", "--out-dir", tmp_path, "--in", "raw.jsonl", "--out", "raw.jsonl",
+        "--min-posts", 0)
+    manifest = json.loads((tmp_path / "raw.jsonl.manifest.json").read_text())
+    assert manifest["inputs"] == {str(tmp_path / "raw.jsonl"): before}
+    assert hashlib.sha256((tmp_path / "raw.jsonl").read_bytes()).hexdigest() != before
+
+
+@pytest.mark.parametrize("argv, clash", [
+    (TINY_SYNTH[:-4] + ["--out", "x.csv", "--truth", "x.csv"], "x.csv"),
+    (TINY_SYNTH[:-2] + ["--truth", "data.jsonl.manifest.json"], "data.jsonl.manifest.json"),
+    (TINY_SYNTH[:-4] + ["--out", "./a.csv", "--truth", "a.csv"], "a.csv"),
+    (["polarize", "--in", "data.jsonl", "--labels", "labels.csv", "--min-actions", "5",
+      "--out", "p.csv", "--profiles", "p.csv"], "p.csv"),
+    (["detect", "--in", "data.jsonl", "--out", "f.csv", "--dendrogram", "f.csv"], "f.csv"),
+    (["detect", "--in", "data.jsonl", "--out", "f.csv", "--dendrogram", "f.csv.manifest.json"],
+     "f.csv.manifest.json"),
+    (TINY_SYNTH[:-4] + ["--out", "sub/../a.csv", "--truth", "a.csv"], "a.csv"),
+])
+def test_outputs_naming_one_file_are_refused(corpus, capsys, argv, clash):
+    before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(corpus)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: two outputs name one file: {corpus / clash}"]
+    assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
 
 
 def test_csv_field_over_size_limit_through_cli(tmp_path, capsys):

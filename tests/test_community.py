@@ -8,6 +8,8 @@ import pytest
 
 from echonet import community
 from echonet.community import (
+    ALGORITHMS,
+    Dendrogram,
     fastgreedy,
     label_propagation,
     louvain,
@@ -346,6 +348,23 @@ def test_weight_scaling_leaves_partitions_unchanged():
         assert louvain(g, seed) == louvain(scaled, seed)
         assert walktrap(g)[0] == walktrap(scaled)[0]
         assert label_propagation(g, seed) == label_propagation(scaled, seed)
+
+
+# ------------------------------------------------------------ detector table
+
+
+def test_algorithm_table_returns_a_dendrogram_for_the_agglomerative_detectors():
+    g, _ = two_block_graph(n=30, p_in=0.6, p_out=0.1, seed=4)
+    for name, detect in ALGORITHMS.items():
+        part, dendro = detect(g, 5, 2)
+        assert isinstance(part, Partition) and part.nodes == g.nodes
+        if name in ("fastgreedy", "walktrap"):
+            assert isinstance(dendro, Dendrogram)
+        else:
+            assert dendro is None
+    assert ALGORITHMS["walktrap"](g, 0, 2) == walktrap(g, 2)
+    assert ALGORITHMS["walktrap"](g, 0, 2) != walktrap(g, 4)
+    assert ALGORITHMS["walktrap"](g, 0) == walktrap(g)
 
 
 # ------------------------------------------------------- pinned dendrograms

@@ -61,8 +61,9 @@ def test_polarization_ignores_unmapped_pages():
 def test_polarization_antisymmetric_under_side_swap():
     d = dataset(*likes("u1", "p1", 8), *likes("u1", "p2", 4),
                 *likes("u2", "p2", 12))
-    fwd = user_polarization(d, SIDES, order=("c1", "c2"), min_actions=1)
-    rev = user_polarization(d, SIDES, order=("c2", "c1"), min_actions=1)
+    swapped = {page: {"c1": "c2", "c2": "c1"}[side] for page, side in SIDES.items()}
+    fwd = user_polarization(d, SIDES, min_actions=1)
+    rev = user_polarization(d, swapped, min_actions=1)
     assert [p.user for p in fwd] == [p.user for p in rev]
     for a, b in zip(fwd, rev):
         assert a.rho == -b.rho
