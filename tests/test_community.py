@@ -1,7 +1,5 @@
 import hashlib
-import heapq
 import random
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -426,36 +424,45 @@ def test_dendrograms_and_cuts_are_pinned(name):
     assert dendrogram_digest(name, pinned_graphs()) == PINNED[name]
 
 
-# SHA-256 over every entry the merge loop pops from its heap on the 40 pinned
-# graphs: the score's exact bits, then the min ids and community ids. Unlike
-# PINNED it sees a last-bit change in a score that does not reorder merges. The
-# large graphs are left out: there walktrap's distances can differ in the last
-# bit between BLAS thread counts.
-PINNED_HEAP_POPS = {
-    "fastgreedy": "d644b3c88444f727fb473d2fb519293339b8cc170797b8f57bd4d38ae0689aea",
-    "walktrap2": "f70922a52d8ee7d7699f66bb12227172c1d1f4e1e45abeea28b62a2c5c603e14",
-    "walktrap4": "fd9acadbd9808a662c8457ab36c3894f0ce20cb82d2193c59ef778346a1c24d7",
+# SHA-256 over every merge on the 40 pinned graphs: its two community ids and
+# the exact bits of the score that picked it, which the merge loop hands last
+# to the per-merge rescoring callback, its own last argument. Unlike PINNED it
+# sees a last-bit change in a score that does not reorder merges. The large
+# graphs are left out: there walktrap's distances can differ in the last bit
+# between BLAS thread counts.
+PINNED_MERGE_SCORES = {
+    "fastgreedy": "36bf73c9355dd642515620567bfc94e96374939705b1b8aa7e6dedf704123aaa",
+    "walktrap2": "22f7bbe76367bbf1ab3bacf2369cea3bdd8911c9c5e16562fbed5b80f5a5d878",
+    "walktrap4": "abc0fce9ca89c65cd4a4d3c4bb17baedbc7b1578af1f246c7c9fe388275d8747",
 }
 
 
-def heap_pop_digest(name, graphs, monkeypatch):
+def merge_score_digest(name, graphs, monkeypatch):
     h = hashlib.sha256()
+    run = community._Agglomeration.run
 
-    def heappop(heap):
-        item = heapq.heappop(heap)
-        h.update(f"{float(item[0]).hex()},{item[1:]}\n".encode())
-        return item
+    def traced_run(self, *args):
+        scores = []
 
-    monkeypatch.setattr(community, "heapq", SimpleNamespace(
-        heapify=heapq.heapify, heappush=heapq.heappush, heappop=heappop))
+        def rescore(*rargs):
+            scores.append(rargs[-1])
+            return args[-1](*rargs)
+
+        part, dendro = run(self, *args[:-1], rescore)
+        assert len(scores) == len(dendro.merges)
+        for (a, b, _q), s in zip(dendro.merges, scores):
+            h.update(f"{a},{b},{float(s).hex()}\n".encode())
+        return part, dendro
+
+    monkeypatch.setattr(community._Agglomeration, "run", traced_run)
     for g in graphs:
         DETECTORS[name](g)
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_HEAP_POPS))
-def test_heap_pops_are_pinned(name, monkeypatch):
-    assert heap_pop_digest(name, pinned_graphs(), monkeypatch) == PINNED_HEAP_POPS[name]
+@pytest.mark.parametrize("name", sorted(PINNED_MERGE_SCORES))
+def test_merge_scores_are_pinned(name, monkeypatch):
+    assert merge_score_digest(name, pinned_graphs(), monkeypatch) == PINNED_MERGE_SCORES[name]
 
 
 def test_no_detector_writes_to_its_graph():
