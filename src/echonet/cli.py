@@ -49,7 +49,8 @@ from .metrics import (
     user_engagement,
     user_polarization,
 )
-from .synth import ACTIVITY_CAP, PAGES_CAP, POSTS_CAP, USERS_CAP, SynthConfig, generate
+from .synth import (ACTIVITY_CAP, PAGES_CAP, POSTS_CAP, RECORDS_CAP, USERS_CAP, SynthConfig,
+                    generate)
 from .temporal import (
     activity_series,
     cohesion_series,
@@ -401,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("synth", cmd_synth, dates, help="generate a planted-polarization dataset")
+    p.description = (f"A config may imply at most {RECORDS_CAP} records: the posts plus each "
+                     f"user's action count, {ACTIVITY_CAP} for a lognormal draw.")
     # argparse's private negative-number pattern has no comma, so it reads "-1,2" as an
     # option; with this one "--users -1,2" reaches the range check as "--users=-1,2" does
     p._negative_number_matcher = re.compile(r"^-[\d.][\d.,-]*$")

@@ -11,10 +11,10 @@ modularity-optimal cut marked.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -67,103 +67,106 @@ class Dendrogram:
 
 
 class _Agglomeration:
-    """The merge loop shared by the agglomerative algorithms.
+    """The heap-free merge loop shared by the agglomerative algorithms.
 
-    Tracks per-community size, strength, between-community weights (live
-    neighbours only), a representative min page id for deterministic
-    tie-breaks, the incremental modularity after each merge, and the merge
-    list for replay.
+    Slot s holds the live community whose min page id ranks s-th; a merge
+    keeps the lower of its two slots, so slot order stays min-page-id order.
+    Two n×n float64 arrays: ``B`` holds the integer weights between live
+    communities (exact below 2**53) and ``S`` their scores, ``inf`` where two
+    are not adjacent. Each row keeps its best ``(score, partner)``.
     """
 
     def __init__(self, g: ProjectionGraph):
         n = g.n_nodes
         self.g = g
         self.m = float(g.total_weight)
-        self.size = [1] * n
-        self.minid = list(g.nodes)
-        # integer weights and sums stay below 2**53, so scores round as floats would
-        self.strength = list(g.strengths)
-        self.between: list[dict[int, int]] = [dict(nb) for nb in g.adj]
-        self.alive = set(range(n))
+        self.node = np.array(sorted(range(n), key=g.nodes.__getitem__), dtype=np.intp)
+        slot = np.empty(n, dtype=np.intp)
+        slot[self.node] = np.arange(n)
+        self.rows = max(1, (1 << 16) // n)  # rows per block: no temporary passes 512 KB
+        self.B = np.zeros((n, n))
+        for k in range(0, n, self.rows):
+            nbs = [g.adj[v] for v in self.node[k:k + self.rows]]
+            deg = [len(nb) for nb in nbs]
+            cols = slot[np.fromiter(chain.from_iterable(nbs), np.intp, sum(deg))]
+            self.B[np.repeat(np.arange(k, k + len(nbs)), deg), cols] = np.fromiter(
+                chain.from_iterable(nb.values() for nb in nbs), float, sum(deg))
+        self.S = np.full((n, n), np.inf)  # the detector scores each adjacent pair
+        self.size = np.ones(n)
+        self.strength = np.array(g.strengths, dtype=float)[self.node]
+        self.bs, self.bp = np.empty(n), np.empty(n, dtype=np.intp)  # each row's best
         self.merges: list[tuple[int, int, float]] = []
         two_m = 2.0 * self.m
-        self.q = -sum((s / two_m) ** 2 for s in self.strength)
-        self.best_q = self.q
-        self.best_step = 0
+        self.q = -sum((s / two_m) ** 2 for s in g.strengths)
 
-    def delta_q(self, a: int, b: int) -> float:
-        w_ab = self.between[a].get(b, 0)
-        return w_ab / self.m - self.strength[a] * self.strength[b] / (2.0 * self.m ** 2)
-
-    def run(self, score, rescore) -> tuple[Partition, Dendrogram]:
+    def run(self, rescore) -> tuple[Partition, Dendrogram]:
         """Merge the lowest-scored adjacent pair until none is left.
 
-        ``score(a, b)`` scores each edge. After ``a`` and ``b`` (scored
-        ``s_ab``) merge into ``new``, one call ``rescore(a, b, new, cs, s_ab)``
-        returns the scores of ``new`` against its neighbours ``cs``, in
-        ascending order. Ties go to the pair with the lower min page ids. Heap
-        keys are unique (live pairs differ in min ids, stale ones in ids), so
-        the pop order does not depend on the push order. Returns the cut with
-        maximum modularity and the dendrogram, scored by re-evaluating
-        ``modularity``.
+        ``S`` must hold every adjacent pair's score. After slots ``ra < rb``
+        (scored ``s_ab``) are picked, one call ``rescore(ra, rb, cs, w, s_ab)``
+        returns the merged community's scores against its neighbour slots
+        ``cs`` (ascending), to which it has weights ``w``, while ``size``,
+        ``strength`` and ``S`` still hold ``ra`` and ``rb`` apart. Ties go to
+        the lower min page ids, as argmin takes the first minimum: a row's ties
+        go to its lowest partner slot and the pick to the lowest row. Returns
+        the maximum-modularity cut and the dendrogram, scored by ``modularity``.
         """
-        minid, alive = self.minid, self.alive
-        heap = [(score(a, b), minid[a], minid[b], a, b) if minid[a] <= minid[b]
-                else (score(a, b), minid[b], minid[a], a, b) for a, b, _w in self.g.edges()]
-        heapq.heapify(heap)
-        while heap:
-            s_ab, _k0, _k1, a, b = heapq.heappop(heap)
-            if a not in alive or b not in alive:
-                continue
-            new = self._merge(a, b)
-            cs = sorted(self.between[new])
-            idn = minid[new]
-            for c, s in zip(cs, rescore(a, b, new, cs, s_ab)):
-                idc = minid[c]
-                heapq.heappush(heap, (s, idn, idc, new, c) if idn <= idc else (s, idc, idn, new, c))
-        part = self._partition_at(self.best_step)
-        return part, Dendrogram(tuple(self.merges), self.g.n_nodes, self.best_step,
-                                modularity(self.g, part))
+        n, B, S, size, strength = self.g.n_nodes, self.B, self.S, self.size, self.strength
+        bs, bp, m, two_m2 = self.bs, self.bp, self.m, 2.0 * self.m ** 2
+        self._refresh(np.arange(n))
+        ids = self.node.tolist()  # slot -> community id
+        q = best_q = self.q
+        best_step = 0
+        while (s_ab := bs[ra := int(bs.argmin())]) != np.inf:
+            rb = int(bp[ra])
+            # two leaves in ascending order, else the newer community first
+            a, b = sorted((ids[ra], ids[rb]), reverse=max(ids[ra], ids[rb]) >= n)
+            q += float(B[ra, rb]) / m - float(strength[ra]) * float(strength[rb]) / two_m2
+            self.merges.append((a, b, q))
+            if q >= best_q:  # ties prefer the later (merged) cut
+                best_q, best_step = q, len(self.merges)
+            ids[ra] = n + len(self.merges) - 1
+            w = B[ra] + B[rb]
+            w[ra] = w[rb] = 0.0
+            cs = w.nonzero()[0]
+            wc = w[cs]
+            sc = rescore(ra, rb, cs, wc, s_ab)
+            size[ra], strength[ra] = size[ra] + size[rb], strength[ra] + strength[rb]
+            # slot rb is dead: its row is never read again, its column is cleared
+            B[ra], B[cs, ra], B[cs, rb] = w, wc, 0.0
+            S[ra, cs], S[cs, ra], S[cs, rb], S[ra, rb] = sc, sc, np.inf, np.inf
+            # a row keeps its best or takes the new pair, unless its best was a or b
+            obs, obp = bs[cs], bp[cs]
+            take = (sc < obs) | ((sc == obs) & (obp > ra))  # ties to the lower slot
+            bs[cs[take]], bp[cs[take]], bs[rb] = sc[take], ra, np.inf
+            self._refresh(np.concatenate((cs[(obp == ra) | (obp == rb)], [ra])))
+        part = self._partition_at(best_step)
+        return part, Dendrogram(tuple(self.merges), n, best_step, modularity(self.g, part))
 
-    def _merge(self, a: int, b: int) -> int:
-        """Join ``a`` and ``b`` into a new id; ``between[a]`` and ``between[b]`` stay."""
-        new = len(self.size)
-        self.q += self.delta_q(a, b)
-        self.size.append(self.size[a] + self.size[b])
-        self.minid.append(min(self.minid[a], self.minid[b]))
-        self.strength.append(self.strength[a] + self.strength[b])
-        nb: dict[int, int] = {}
-        for old in (a, b):
-            for c, w in self.between[old].items():
-                if c != a and c != b:
-                    nb[c] = nb.get(c, 0) + w
-                    del self.between[c][old]
-        self.between.append(nb)
-        for c, w in nb.items():
-            self.between[c][new] = w
-        self.alive.discard(a)
-        self.alive.discard(b)
-        self.alive.add(new)
-        self.merges.append((a, b, self.q))
-        if self.q >= self.best_q:  # ties prefer the later (merged) cut
-            self.best_q = self.q
-            self.best_step = len(self.merges)
-        return new
+    def pairs(self):
+        """Every adjacent slot pair i < j, in chunks of at most ``rows`` pairs."""
+        for k in range(0, len(self.B), self.rows):
+            i, j = self.B[k:k + self.rows].nonzero()
+            i += k
+            i, j = i[i < j], j[i < j]
+            for h in range(0, len(i), self.rows):
+                yield i[h:h + self.rows], j[h:h + self.rows]
+
+    def _refresh(self, rows) -> None:
+        """Recompute the best (score, partner) of ``rows`` from ``S``, in row blocks."""
+        for i in range(0, len(rows), self.rows):
+            r = rows[i:i + self.rows]
+            p = self.S[r].argmin(axis=1)
+            self.bp[r], self.bs[r] = p, self.S[r, p]
 
     def _partition_at(self, step: int) -> Partition:
+        """Label each node by its community's id after ``step`` merges."""
         n = self.g.n_nodes
-        parent = list(range(n + step))
-        for t in range(step):
+        label = list(range(n + step))
+        for t in reversed(range(step)):  # a merged id is labelled before its parts
             a, b, _q = self.merges[t]
-            parent[a] = n + t
-            parent[b] = n + t
-        labels = []
-        for v in range(n):
-            r = v
-            while parent[r] != r:
-                r = parent[r]
-            labels.append(r)
-        return Partition.from_labels(self.g.nodes, labels)
+            label[a] = label[b] = label[n + t]
+        return Partition.from_labels(self.g.nodes, label[:n])
 
 
 def _require_weight(g: ProjectionGraph) -> None:
@@ -180,16 +183,21 @@ def fastgreedy(g: ProjectionGraph) -> tuple[Partition, Dendrogram]:
     with the largest modularity gain (ties: lowest min-page-id pair, then the
     other page id); the returned partition is the dendrogram cut with maximum
     modularity. Communities in different components are never merged.
+
+    Memory is dense: two n×n float64 arrays (8·n² bytes each; 50 MB per
+    array at 2,500 pages, 800 MB at 10,000).
     """
     _require_weight(g)
     agg = _Agglomeration(g)
-    m, strength, two_m2 = agg.m, agg.strength, 2.0 * agg.m ** 2
+    B, S, strength = agg.B, agg.S, agg.strength
+    m, two_m2 = agg.m, 2.0 * agg.m ** 2
+    for i, j in agg.pairs():  # -delta_q, term for term
+        S[i, j] = S[j, i] = -(B[i, j] / m - strength[i] * strength[j] / two_m2)
 
-    def rescore(_a, _b, new: int, cs: list[int], _s: float) -> list[float]:
-        nb, s_new = agg.between[new], strength[new]  # delta_q(new, c), term for term
-        return [-(nb[c] / m - s_new * strength[c] / two_m2) for c in cs]
+    def rescore(ra: int, rb: int, cs, w, _s) -> np.ndarray:
+        return -(w / m - (strength[ra] + strength[rb]) * strength[cs] / two_m2)
 
-    return agg.run(lambda a, b: -agg.delta_q(a, b), rescore)
+    return agg.run(rescore)
 
 
 def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
@@ -272,12 +280,9 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
     is the dendrogram cut with maximum modularity. Isolated nodes stay
     singletons.
 
-    Memory is dense: at the default ``steps=4`` it holds at most three n×n
-    float64 arrays (8·n² bytes each) at once, the transition matrix and two of
-    its powers inside ``matrix_power``; the merge loop then keeps only the
-    walk matrix, plus one length-n sum per live merged community. Process
-    peak RSS was 80 MB at 1,000 pages and 193 MB at 2,500 (sparse corpora
-    with 29,453 and 74,291 edges, numpy 2.4, 2-vCPU x86-64 VM).
+    Memory is dense: three n×n float64 arrays (8·n² bytes each; 50 MB per
+    array at 2,500 pages, 800 MB at 10,000), first the transition matrix and
+    two of its powers, then the walks and the merge loop's two arrays.
 
     The walk matrix comes from BLAS (``matrix_power``), which may split its
     sums by thread, so on large graphs a Ward distance can differ in the last
@@ -301,42 +306,37 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
     inv_d = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
 
     agg = _Agglomeration(g)
-    size = agg.size
-    vec_sum = dict(enumerate(Pt))  # community -> summed walk vectors; rows are views
+    S, size, node, rows = agg.S, agg.size, agg.node, agg.rows
 
-    def ward(mean, sa: int, means, sizes: list[int]) -> list[float]:
-        """Ward distances from ``sa`` nodes of mean walk ``mean`` to each row of
-        ``means``; one ddot per row, as a matrix product sums in another order and
-        can change the last bit, and so the order of tied merges."""
-        sq = mean - means
+    def ward(sq, sa, sc) -> np.ndarray:
+        """Ward distances between groups of ``sa`` and ``sc`` nodes from the
+        rows of ``sq``, their mean walks' differences, squared in place. One
+        ddot per row: a matrix product sums in another order and can change
+        the last bit, and so the order of tied merges."""
         sq *= sq
-        return [sa * sc / (sa + sc) / n * float(d) for sc, d in zip(sizes, map(inv_d.dot, sq))]
+        return sa * sc / (sa + sc) / n * np.array(list(map(inv_d.dot, sq)))
 
-    # (lower id, higher id) -> Ward distance; a singleton's walk is its mean
-    dsigma: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        if higher := [j for j in agg.between[i] if j > i]:
-            dsigma.update(zip([(i, j) for j in higher],
-                              ward(Pt[i], 1, Pt[higher], [1] * len(higher))))
+    for i, j in agg.pairs():  # singletons: each walk is its own mean
+        sq = Pt[node[i]]
+        sq -= Pt[node[j]]
+        S[i, j] = S[j, i] = ward(sq, 1.0, 1.0)
 
-    def lance_williams(a: int, b: int, new: int, cs: list[int], ds_ab: float) -> list[float]:
-        vec_sum[new] = vec_sum.pop(a) + vec_sum.pop(b)
-        sa, sb, sn = size[a], size[b], size[new]
-        nb_a, nb_b = agg.between[a], agg.between[b]
-        far = [c for c in cs if c not in nb_a or c not in nb_b]
-        if far:  # no distances to both a and b: Ward's distance from the walks
-            sizes = [size[c] for c in far]
-            means = np.stack([vec_sum[c] for c in far]) / np.array(sizes, dtype=float)[:, None]
-            dsigma.update(zip([(c, new) for c in far], ward(vec_sum[new] / sn, sn, means, sizes)))
-        for c in cs:  # new is the highest id, so every key is (c, new)
-            if c in nb_a and c in nb_b:
-                sc = size[c]
-                dsigma[c, new] = ((sa + sc) * dsigma[(a, c) if a < c else (c, a)]
-                                  + (sb + sc) * dsigma[(b, c) if b < c else (c, b)]
-                                  - sc * ds_ab) / (sn + sc)
-        return [dsigma[c, new] for c in cs]
+    def lance_williams(ra: int, rb: int, cs, _w, ds_ab: float) -> np.ndarray:
+        sa, sb, sc, sn = size[ra], size[rb], size[cs], size[ra] + size[rb]
+        Pt[node[ra]] += Pt[node[rb]]
+        mean = Pt[node[ra]] / sn
+        d_a, d_b = S[ra, cs], S[rb, cs]
+        out = ((sa + sc) * d_a + (sb + sc) * d_b - sc * ds_ab) / (sn + sc)
+        far = (out == np.inf).nonzero()[0]  # d_a or d_b is inf: not adjacent to both
+        for k in range(0, len(far), rows):  # so Ward's distance from the walks
+            f = far[k:k + rows]
+            sq = Pt[node[cs[f]]]
+            sq /= sc[f, None]
+            np.subtract(mean, sq, out=sq)
+            out[f] = ward(sq, sn, sc[f])
+        return out
 
-    return agg.run(lambda a, b: dsigma[a, b], lance_williams)
+    return agg.run(lance_williams)
 
 
 def label_propagation(g: ProjectionGraph, seed: int = 0) -> Partition:

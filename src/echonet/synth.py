@@ -27,6 +27,7 @@ ACTIVITY_CAP = 5000  # most actions per user: lognormal draws are capped, fixed 
 USERS_CAP = 1_000_000  # most users per side
 PAGES_CAP = 10_000  # most pages per side
 POSTS_CAP = 10_000  # most posts per page
+RECORDS_CAP = 100_000_000  # most records a config implies, ACTIVITY_CAP per lognormal user
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,12 @@ class SynthConfig:
                 raise ValueError(f"bad lognormal activity spec {self.actions_per_user}")
         else:
             raise ValueError(f"unknown activity distribution {kind!r}")
+        records = (sum(self.pages_per_side) * self.posts_per_page
+                   + sum(self.users_per_side) * (params[0] if kind == "fixed" else ACTIVITY_CAP))
+        if records > RECORDS_CAP:
+            raise ValueError(f"config implies up to {records} records (posts plus each user's "
+                             f"actions, {ACTIVITY_CAP} per lognormal draw), more than "
+                             f"the cap of {RECORDS_CAP}")
         if self.sub_blocks is not None:
             for side, blocks, pages in zip(SIDES, self.sub_blocks, self.pages_per_side):
                 if min(blocks) <= 0 or sum(blocks) != pages:

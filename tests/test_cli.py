@@ -406,6 +406,58 @@ def test_numeric_flags_reject_values_over_their_bound(corpus, capsys, args, mess
     assert not (corpus / "out.csv").exists()
 
 
+# Every numeric flag, each with a value its contract refuses or, where every value
+# is allowed, an extreme one on the small corpus. None is accepted; a message is
+# the one error line, and then no output is written.
+NUMERIC_FLAGS = [
+    ("synth", ["--seed", str(10**30)], None),
+    ("synth", ["--users", f"{USERS_CAP},{USERS_CAP}", "--actions", "fixed:51"],
+     "config implies up to 102000002 records (posts plus each user's actions, 5000 per "
+     "lognormal draw), more than the cap of 100000000"),
+    ("synth", ["--users", "10001,10000"],
+     "config implies up to 100005002 records (posts plus each user's actions, 5000 per "
+     "lognormal draw), more than the cap of 100000000"),
+    ("synth", ["--pages", f"{PAGES_CAP},{PAGES_CAP}", "--posts-per-page", str(POSTS_CAP)],
+     "config implies up to 200010000 records (posts plus each user's actions, 5000 per "
+     "lognormal draw), more than the cap of 100000000"),
+    ("synth", ["--p-out", "nan"], "p_out must be in [0,1], got nan"),
+    ("synth", ["--comment-fraction", "1.5"], "comment_fraction must be in [0,1], got 1.5"),
+    ("synth", ["--posts-per-page", "-1"], "posts_per_page must be in 0..10000, got -1"),
+    ("synth", ["--actions", "fixed:-1"],
+     "bad fixed activity spec ('fixed', -1), N must be in 0..5000"),
+    ("synth", ["--actions", "lognormal:2,-1"],
+     "bad lognormal activity spec ('lognormal', 2.0, -1.0)"),
+    ("synth", ["--anti-blocks", "2"], "anti sub_blocks (2,) must be positive and sum to 1"),
+    ("ingest", ["--min-posts", str(-10**30)], f"min_posts must be non-negative, got {-10**30}"),
+    ("detect", ["--steps", str(-10**30)], f"steps must be positive, got {-10**30}"),
+    ("validate", ["--draws", str(10**30)], f"draws must be at most 10000, got {10**30}"),
+    ("validate", ["--seed", "-1", "--draws", "2"], None),
+    ("polarize", ["--bins", "1"], "bins must be at least 2, got 1"),
+    ("polarize", ["--bins", str(10**30)], f"bins must be at most 10000, got {10**30}"),
+    ("polarize", ["--min-actions", str(10**30)], "no profiles to bin"),
+    ("polarize", ["--min-actions", "-5"], None),
+    ("exposure", ["--span", "-1"], "span -1.0 covers fewer than 2 of the 60 points"),
+    ("exposure", ["--eval-points", str(-10**30)],
+     f"eval-points must be at least 1, got {-10**30}"),
+]
+
+
+@pytest.mark.parametrize("sub, flags, message", NUMERIC_FLAGS)
+def test_every_numeric_flag_is_bounded(corpus, capsys, sub, flags, message):
+    inputs = {"synth": ["--users", "1,1", "--pages", "1,1", "--posts-per-page", "1",
+                        "--truth", "truth.csv"],
+              "ingest": ["--in", "data.jsonl"],
+              "detect": ["--in", "data.jsonl"]}.get(sub, ["--in", "data.jsonl",
+                                                          "--labels", "labels.csv"])
+    rc = main([sub, "--out-dir", str(corpus), *inputs, *flags, "--out", "out.csv"])
+    if message is None:
+        assert rc == 0 and (corpus / "out.csv").exists()
+    else:
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (corpus / "out.csv").exists()
+
+
 def test_exposure_span_beyond_one_is_span_one(corpus):
     for span, out in (("1", "one.csv"), ("1e308", "huge.csv")):
         run("exposure", "--out-dir", corpus, "--in", "data.jsonl", "--labels", "labels.csv",

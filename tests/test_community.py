@@ -193,6 +193,29 @@ def test_fastgreedy_bounded_by_brute_force():
         assert dendro.best_score == modularity(g, part)
 
 
+def test_fastgreedy_modularity_matches_networkx_greedy():
+    import networkx as nx
+
+    checked = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(3, 60)
+        p = (0.1, 0.3, 0.7)[seed % 3]
+        edges = [(i, j, rng.randint(1, 10**6)) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        if not edges:
+            continue
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_weighted_edges_from(edges)
+        expected = nx.community.modularity(
+            G, nx.community.greedy_modularity_communities(G, weight="weight"), weight="weight")
+        _part, dendro = fastgreedy(ProjectionGraph([f"v{i:02d}" for i in range(n)], edges))
+        assert dendro.best_score == pytest.approx(expected, abs=1e-9)
+        checked += 1
+    assert checked >= 190
+
+
 def test_fastgreedy_deterministic():
     g = random_weighted_graph(20, 0.3, seed=5)
     assert fastgreedy(g)[0] == fastgreedy(g)[0]

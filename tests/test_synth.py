@@ -8,7 +8,7 @@ import pytest
 from echonet.graphs import build_bipartite, connected_components, induced_subgraph, project
 from echonet.ingest import serialize_records
 from echonet.metrics import user_polarization
-from echonet.synth import SynthConfig, generate
+from echonet.synth import RECORDS_CAP, SynthConfig, generate
 from echonet.timebins import day_end, day_start
 
 
@@ -106,6 +106,15 @@ def test_bad_p_out_rejected():
 def test_sub_blocks_must_sum_to_pages():
     with pytest.raises(ValueError):
         generate(small_config(sub_blocks=((3, 3), (4,))))
+
+
+def test_implied_record_count_is_capped_before_generation():
+    # lognormal users count ACTIVITY_CAP (5000) each: 20,000 of them are exactly the cap
+    at_cap = small_config(users_per_side=(10_000, 10_000),
+                          actions_per_user=("lognormal", 2.0, 1.0), posts_per_page=0)
+    at_cap.validate()
+    with pytest.raises(ValueError, match=f"up to {RECORDS_CAP + 9} records"):
+        replace(at_cap, posts_per_page=1).validate()
 
 
 def test_sub_blocks_are_user_disjoint():
