@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,7 @@ from .ingest import (
     filter_dataset,
     parse_records,
     read_labels,
-    serialize_records,
+    serialize_chunks,
     write_labels,
 )
 from .metrics import (
@@ -41,6 +43,7 @@ from .metrics import (
     DEFAULT_SPAN,
     MAX_COUNT,
     check_count,
+    check_span,
     loess_fit,
     pages_per_window,
     polarization_histogram,
@@ -70,10 +73,30 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _publish(outputs: list[tuple[Path, str | Iterable[str]]]) -> None:
+    """Write each text, or each chunk of an iterable, to a new temporary file in
+    its path's directory; once all are closed, rename each onto its path, in
+    order. On any error every temporary file made so far is removed, so no
+    output appears and an existing one keeps its bytes.
+
+    A temporary file is opened with mode "x", so its permission bits follow
+    the umask as a new file's do.
+    """
+    temps: list[Path] = []
+    try:
+        for path, text in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            fh = open(temp, "x", encoding="utf-8", newline="")
+            temps.append(temp)
+            with fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def _manifest(args: argparse.Namespace, inputs: dict[str, str]) -> str:
@@ -104,9 +127,11 @@ def _run(args) -> None:
 
     Subcommands with ``--in`` get the parsed Dataset and those with
     ``--labels`` the label map, in that order. The body returns its
-    ``(output name, text)`` pairs; the manifest goes next to ``--out`` and
-    lists the inputs as they were read. Nothing is written if two outputs,
-    the manifest included, resolve to one file.
+    ``(output name, text or iterable of text chunks)`` pairs; the manifest
+    goes next to ``--out`` and lists the inputs as they were read. Nothing is
+    written if two outputs, the manifest included, resolve to one file, or if
+    one names a directory; otherwise _publish writes all of them or none,
+    each at its resolved path, so a symlinked output updates its target.
     """
     inputs, loaded = [], []
     if hasattr(args, "infile"):
@@ -128,8 +153,9 @@ def _run(args) -> None:
     for i, path in enumerate(resolved):
         if path in resolved[:i]:
             raise ValueError(f"two outputs name one file: {outputs[i][0]}")
-    for path, text in outputs:
-        _write_text(path, text)
+        if path.is_dir():
+            raise ValueError(f"output names a directory: {outputs[i][0]}")
+    _publish([(path, text) for path, (_, text) in zip(resolved, outputs)])
 
 
 def _numbers(flag: str, text: str, form: str, kind=int, count=None, prefix="") -> tuple:
@@ -147,7 +173,7 @@ def _numbers(flag: str, text: str, form: str, kind=int, count=None, prefix="") -
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_synth(args) -> list[tuple[str, str]]:
+def cmd_synth(args) -> list[tuple[str, str | Iterable[str]]]:
     # parsed here so a malformed pair is one error line; stored back for the manifest
     args.users = _numbers("--users", args.users, "PRO,ANTI", count=2)
     args.pages = _numbers("--pages", args.pages, "PRO,ANTI", count=2)
@@ -172,17 +198,17 @@ def cmd_synth(args) -> list[tuple[str, str]]:
         sub_blocks=sub_blocks,
     )
     dataset, truth, labels = generate(config)
-    outputs = [(args.out, serialize_records(dataset)), (args.truth, write_labels(labels))]
+    outputs = [(args.out, serialize_chunks(dataset)), (args.truth, write_labels(labels))]
     if args.user_truth:
         outputs.append((args.user_truth, write_labels(truth.user_side)))
     return outputs
 
 
-def cmd_ingest(args, d: Dataset) -> list[tuple[str, str]]:
+def cmd_ingest(args, d: Dataset) -> list[tuple[str, Iterable[str]]]:
     filtered = filter_dataset(d, min_posts=args.min_posts,
                               date_range=(parse_date(args.date_from),
                                           parse_date(args.date_to)))
-    return [(args.out, serialize_records(filtered))]
+    return [(args.out, serialize_chunks(filtered))]
 
 
 def cmd_summary(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
@@ -292,6 +318,7 @@ def cmd_polarize(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, st
 
 def cmd_exposure(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
     check_count("eval-points", args.eval_points, 1)
+    check_span(args.span)
     engagement = user_engagement(d, labels)
     pages = pages_per_window(d, args.window)
     by_side: dict[str, list] = {}

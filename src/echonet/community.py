@@ -40,13 +40,14 @@ def modularity(g: ProjectionGraph, p: Partition) -> float:
     if m == 0:
         raise ValueError("modularity undefined for a graph with zero total weight")
     com = p.as_dict()
-    within = [0] * p.n_communities
+    label = [com[node] for node in g.nodes]
+    within = [0] * p.n_communities  # twice the within weight: both orientations
     strength = [0] * p.n_communities
-    for i, node in enumerate(g.nodes):
-        strength[com[node]] += int(g.strengths[i])
-    for i, j, w in g.edges():
-        if com[g.nodes[i]] == com[g.nodes[j]]:
-            within[com[g.nodes[i]]] += w
+    for i, nb in enumerate(g.adj):
+        c = label[i]
+        strength[c] += g.strengths[i]
+        within[c] += sum(w for j, w in nb.items() if label[j] == c)
+    within = [wc // 2 for wc in within]
     two_m = 2.0 * m
     return sum(wc / m - (sc / two_m) ** 2 for wc, sc in zip(within, strength))
 

@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date
 from functools import partial
-from itertools import count, groupby, repeat
+from itertools import compress, count, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_not, itemgetter
+from operator import eq, is_not, itemgetter
 from typing import NamedTuple
 
 from .timebins import (
@@ -135,6 +135,10 @@ _LINE = re.compile(
 # Characters read per JSONL block. A block's findall rows take about seven
 # times its text, so a larger block raises peak memory and gains no speed.
 BLOCK_CHARS = 1 << 16
+# Records per chunk serialize_chunks yields. A chunk's lines and text take about
+# 300 bytes a record, so 4,096 keeps a written file's text near 1 MB at a time;
+# 16,384 raised the benchmark's synth peak RSS from 48 to 52 MB.
+WRITE_RECORDS = 4096
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -277,6 +281,26 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _canonical_order(records) -> list:
+    """``records`` sorted by InteractionRecord.sort_key.
+
+    One stable sort by ts, whose keys are the records' own ints, then a sort by
+    the whole key of each run of equal ts. A whole-key sort would build a key
+    tuple per record, about 100 bytes each, and is slower unless most records
+    share their ts with another.
+    """
+    ts = itemgetter(4)
+    ordered = sorted(records, key=ts)
+    tied = list(compress(count(), map(eq, map(ts, ordered), map(ts, islice(ordered, 1, None)))))
+    # tied holds each i whose record shares its ts with record i + 1; a run of
+    # consecutive i keeps one value of i minus its position in tied
+    for _, run in groupby(enumerate(tied), lambda pair: pair[1] - pair[0]):
+        run = list(run)
+        lo, hi = run[0][1], run[-1][1] + 2
+        ordered[lo:hi] = sorted(ordered[lo:hi], key=itemgetter(4, 1, 2, 0, 3))
+    return ordered
+
+
 def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     """Canonical serialization: records sorted by (ts, page, post, user, action).
 
@@ -288,7 +312,7 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    ordered = sorted(d.records, key=itemgetter(4, 1, 2, 0, 3))  # sort_key
+    ordered = _canonical_order(d.records)
     stamp = timestamp_formatter()
     if format == "csv":
         return csv_text(CSV_HEADER, ((r.user, r.page, r.post, r.action, stamp(r.ts))
@@ -299,6 +323,19 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
         f'{{"user":{quoted[r.user]},"page":{quoted[r.page]},"post":{quoted[r.post]},'
         f'"action":{quoted[r.action]},"ts":"{stamp(r.ts)}"}}\n'
         for r in ordered])
+
+
+def serialize_chunks(d: Dataset):
+    """Yield the canonical JSONL text of ``d`` in chunks of WRITE_RECORDS records.
+
+    The chunks joined are ``serialize_records(d)``: the records are sorted once
+    and each consecutive part is serialized by it (its sort of a sorted part is
+    one linear pass), so a writer holds one chunk's text at a time.
+    """
+    step = WRITE_RECORDS
+    ordered = _canonical_order(d.records)
+    for start in range(0, len(ordered), step):
+        yield serialize_records(Dataset(ordered[start:start + step]))
 
 
 def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,

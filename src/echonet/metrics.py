@@ -34,6 +34,14 @@ def check_count(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be at most {MAX_COUNT}, got {value}")
 
 
+def check_span(span: float) -> None:
+    """Raise ValueError unless the LOESS span is a finite positive number."""
+    if not math.isfinite(span):
+        raise ValueError(f"span must be a finite number, got {span}")
+    if span <= 0:
+        raise ValueError(f"span must be positive, got {span}")
+
+
 @dataclass(frozen=True)
 class PolarizationProfile:
     user: str
@@ -215,8 +223,7 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
     n = len(x)
     if n < 3:
         raise ValueError(f"need at least 3 points, got {n}")
-    if not math.isfinite(span):
-        raise ValueError(f"span must be a finite number, got {span}")
+    check_span(span)
     k = math.ceil(min(span, 1.0) * n)
     if k < 2:
         raise ValueError(f"span {span} covers fewer than 2 of the {n} points")

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import weakref
@@ -436,7 +437,7 @@ NUMERIC_FLAGS = [
     ("polarize", ["--bins", str(10**30)], f"bins must be at most 10000, got {10**30}"),
     ("polarize", ["--min-actions", str(10**30)], "no profiles to bin"),
     ("polarize", ["--min-actions", "-5"], None),
-    ("exposure", ["--span", "-1"], "span -1.0 covers fewer than 2 of the 60 points"),
+    ("exposure", ["--span", "-1"], "span must be positive, got -1.0"),
     ("exposure", ["--eval-points", str(-10**30)],
      f"eval-points must be at least 1, got {-10**30}"),
 ]
@@ -456,6 +457,24 @@ def test_every_numeric_flag_is_bounded(corpus, capsys, sub, flags, message):
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (corpus / "out.csv").exists()
+
+
+@pytest.mark.parametrize("span, message", [
+    ("-1", "span must be positive, got -1.0"),
+    ("0", "span must be positive, got 0.0"),
+    ("inf", "span must be a finite number, got inf"),
+    ("nan", "span must be a finite number, got nan"),
+])
+def test_exposure_refuses_a_bad_span_before_any_work(corpus, capsys, monkeypatch, span, message):
+    def engagement(*args):
+        raise AssertionError("user_engagement ran before --span was checked")
+
+    monkeypatch.setattr(cli, "user_engagement", engagement)
+    rc = main(["exposure", "--out-dir", str(corpus), "--in", "data.jsonl",
+               "--labels", "labels.csv", "--span", span, "--out", "curve.csv"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (corpus / "curve.csv").exists()
 
 
 def test_exposure_span_beyond_one_is_span_one(corpus):
@@ -509,6 +528,11 @@ def test_manifest_records_an_input_overwritten_in_place_as_it_was_read(tmp_path)
     assert hashlib.sha256((tmp_path / "raw.jsonl").read_bytes()).hexdigest() != before
 
 
+def listing(directory: Path) -> dict:
+    """Each entry's name and bytes, or None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in directory.iterdir()}
+
+
 @pytest.mark.parametrize("argv, clash", [
     (TINY_SYNTH[:-4] + ["--out", "x.csv", "--truth", "x.csv"], "x.csv"),
     (TINY_SYNTH[:-2] + ["--truth", "data.jsonl.manifest.json"], "data.jsonl.manifest.json"),
@@ -521,12 +545,84 @@ def test_manifest_records_an_input_overwritten_in_place_as_it_was_read(tmp_path)
     (TINY_SYNTH[:-4] + ["--out", "sub/../a.csv", "--truth", "a.csv"], "a.csv"),
 ])
 def test_outputs_naming_one_file_are_refused(corpus, capsys, argv, clash):
-    before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+    before = listing(corpus)
     capsys.readouterr()
     assert main(argv + ["--out-dir", str(corpus)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: two outputs name one file: {corpus / clash}"]
-    assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
+    assert listing(corpus) == before
+
+
+@pytest.mark.parametrize("argv, directory", [
+    (["polarize", "--in", "data.jsonl", "--labels", "labels.csv", "--min-actions", "5",
+      "--out", "pdf.csv", "--profiles", "profiles"], "profiles"),
+    (TINY_SYNTH[:-2] + ["--truth", "truth"], "truth"),
+])
+def test_an_output_naming_a_directory_is_refused_before_any_write(corpus, capsys, argv,
+                                                                   directory):
+    (corpus / directory).mkdir()
+    before = listing(corpus)
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(corpus)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output names a directory: {corpus / directory}"]
+    assert listing(corpus) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--users", "60,60", "--pages", "6,5", "--actions", "fixed:20",
+     "--out", "data.jsonl", "--truth", "new_labels.csv"],
+    ["ingest", "--in", "data.jsonl", "--min-posts", "0", "--out", "new.jsonl"],
+])
+def test_a_write_failing_in_its_second_chunk_publishes_nothing(corpus, capsys, monkeypatch,
+                                                               argv):
+    calls, serialize = [], ingest.serialize_records
+
+    def serialize_then_fail(d):
+        calls.append(len(d))
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return serialize(d)
+
+    monkeypatch.setattr(ingest, "WRITE_RECORDS", 100)
+    monkeypatch.setattr(ingest, "serialize_records", serialize_then_fail)
+    before = listing(corpus)
+    capsys.readouterr()
+    assert main(argv + ["--out-dir", str(corpus)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+    assert calls == [100, 100]
+    assert listing(corpus) == before
+
+
+def test_an_output_that_cannot_be_created_removes_the_written_ones(corpus, capsys):
+    before = listing(corpus)
+    argv = TINY_SYNTH[:-2] + ["--truth", "data.jsonl/labels.csv", "--out-dir", str(corpus)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert listing(corpus) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_outputs_take_their_permission_bits_from_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        run(*TINY_SYNTH, "--out-dir", tmp_path)
+    finally:
+        os.umask(old)
+    for name in ("data.jsonl", "labels.csv", "data.jsonl.manifest.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+
+
+def test_a_symlinked_output_updates_its_target(tmp_path):
+    run(*TINY_SYNTH, "--out-dir", tmp_path / "plain")
+    (tmp_path / "store").mkdir()
+    (tmp_path / "store" / "data.jsonl").write_text("old\n")
+    (tmp_path / "data.jsonl").symlink_to(tmp_path / "store" / "data.jsonl")
+    run(*TINY_SYNTH, "--out-dir", tmp_path)
+    assert (tmp_path / "data.jsonl").is_symlink()
+    assert (tmp_path / "store" / "data.jsonl").read_bytes() == \
+        (tmp_path / "plain" / "data.jsonl").read_bytes()
+    assert [p.name for p in (tmp_path / "store").iterdir()] == ["data.jsonl"]
 
 
 def test_csv_field_over_size_limit_through_cli(tmp_path, capsys):

@@ -17,6 +17,7 @@ from echonet.ingest import (
     filter_dataset,
     parse_records,
     read_labels,
+    serialize_chunks,
     serialize_records,
     write_labels,
 )
@@ -117,20 +118,73 @@ def test_parse_serialize_idempotent():
     assert once == twice
 
 
-def test_serialize_matches_json_dumps_per_record():
-    d = dataset(rec("u\u00e9\"\\", "p1", "like", "2014-03-01T23:59:59Z"),
-                rec("u\n\U0001f600", "p1", "comment", "1999-12-31T00:00:00Z"),
-                rec("p1", "p1", "post", "2014-03-01T00:00:00Z"),
-                rec("u1", "p2", "like", "1000-01-01T00:00:00Z"),
-                rec("u1", "p2", "like", "9999-12-31T23:59:59Z"))
-    expected = "".join(
+def json_lines(d: Dataset) -> str:
+    """The canonical JSONL text of ``d`` by json.dumps, one record at a time."""
+    return "".join(
         json.dumps({"user": r.user, "page": r.page, "post": r.post, "action": r.action,
                     "ts": format_timestamp(r.ts)}, separators=(",", ":")) + "\n"
         for r in sorted(d.records, key=InteractionRecord.sort_key))
+
+
+ODD_STRINGS = (rec("u\u00e9\"\\", "p1", "like", "2014-03-01T23:59:59Z"),
+               rec("u\n\U0001f600", "p1", "comment", "1999-12-31T00:00:00Z"),
+               rec("p1", "p1", "post", "2014-03-01T00:00:00Z"),
+               rec("u1", "p2", "like", "1000-01-01T00:00:00Z"),
+               rec("u1", "p2", "like", "9999-12-31T23:59:59Z"))
+
+
+def test_serialize_matches_json_dumps_per_record():
+    d = dataset(*ODD_STRINGS)
+    expected = json_lines(d)
     assert serialize_records(d) == expected
     rows = list(csv.reader(io.StringIO(serialize_records(d, "csv"))))
     assert [row[4] for row in rows[1:]] == [json.loads(line)["ts"]
                                             for line in expected.splitlines()]
+
+
+@pytest.mark.parametrize("write_records", [1, 7, ingest.WRITE_RECORDS])
+@pytest.mark.parametrize("seed", range(4))
+def test_serialize_chunks_join_to_serialize_records(monkeypatch, seed, write_records):
+    """Chunks joined are the whole text, with duplicate records and runs of one ts
+    crossing chunk boundaries, and a dataset with no records yields no chunk."""
+    rng = random.Random(seed)
+    tied = random_dataset(40, seed, ts_range=("2014-03-01T12:00:00Z",) * 2).records
+    records = [*random_dataset(300, seed).records, *tied, *ODD_STRINGS]
+    records += rng.sample(records, 60)  # duplicates
+    rng.shuffle(records)
+    monkeypatch.setattr(ingest, "WRITE_RECORDS", write_records)
+    for d in (Dataset(records), Dataset(tied), Dataset([])):
+        chunks = list(serialize_chunks(d))
+        assert len(chunks) == -(-len(d) // write_records)
+        assert "".join(chunks) == serialize_records(d) == json_lines(d)
+
+
+def test_write_holds_a_few_chunks_not_the_text(tmp_path, monkeypatch):
+    """Peak memory of a chunked write, above the records it keeps, is the sort's
+    two lists of 8 bytes a record and a few chunks; the whole text is more.
+
+    The 24,200 records make 48 chunks of 512.
+    """
+    cfg = SynthConfig(users_per_side=(600, 600), pages_per_side=(12, 8),
+                      actions_per_user=("fixed", 20), posts_per_page=10, seed=4)
+    d = generate(cfg)[0]
+    monkeypatch.setattr(ingest, "WRITE_RECORDS", 512)
+
+    def overhead(write):
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "d.jsonl", "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - current
+
+    chunk = overhead(lambda fh: fh.write(serialize_records(Dataset(d.records[:512]))))
+    bound = 16 * len(d) + 3 * chunk
+    assert len(d) == 24_200
+    assert overhead(lambda fh: fh.writelines(serialize_chunks(d))) <= bound
+    assert overhead(lambda fh: fh.write(serialize_records(d))) > bound
 
 
 def test_filter_drops_page_below_min_posts():
