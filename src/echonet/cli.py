@@ -130,8 +130,9 @@ def _run(args) -> None:
     ``(output name, text or iterable of text chunks)`` pairs; the manifest
     goes next to ``--out`` and lists the inputs as they were read. Nothing is
     written if two outputs, the manifest included, resolve to one file, or if
-    one names a directory; otherwise _publish writes all of them or none,
-    each at its resolved path, so a symlinked output updates its target.
+    one names a directory or lies under a file; otherwise _publish writes all
+    of them or none, each at its resolved path, so a symlinked output updates
+    its target.
     """
     inputs, loaded = [], []
     if hasattr(args, "infile"):
@@ -155,6 +156,9 @@ def _run(args) -> None:
             raise ValueError(f"two outputs name one file: {outputs[i][0]}")
         if path.is_dir():
             raise ValueError(f"output names a directory: {outputs[i][0]}")
+        ancestor = next(a for a in path.parents if a.exists())
+        if not ancestor.is_dir():
+            raise ValueError(f"output {outputs[i][0]} lies under a file: {ancestor}")
     _publish([(path, text) for path, (_, text) in zip(resolved, outputs)])
 
 

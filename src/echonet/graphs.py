@@ -8,11 +8,7 @@ users of each page pair.
 
 from __future__ import annotations
 
-import csv
-import io
-from bisect import bisect_right
-from collections import Counter
-from itertools import chain
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .ingest import ENGAGEMENT_ACTIONS, Dataset, csv_text
@@ -71,27 +67,26 @@ class Partition:
 
 
 class BipartiteGraph:
-    """User-page incidence for one action kind: sorted neighbour ids per node."""
+    """User-page incidence for one action kind: each user's sorted page ids.
 
-    def __init__(self, pages, users, edges, action: str):
+    ``pairs`` is any iterable of (user, page) strings, every page one of
+    ``pages``; repeats collapse. ``users`` holds the users with at least one
+    pair, sorted, and ``user_pages[u]`` the ids of user u's pages, ascending.
+    """
+
+    def __init__(self, pages, pairs, action: str):
         self.pages: tuple[str, ...] = tuple(pages)
-        self.users: tuple[str, ...] = tuple(users)
         self.action = action
-        self.page_index = {p: i for i, p in enumerate(self.pages)}
-        page_users: list[set[int]] = [set() for _ in self.pages]
-        user_pages: list[set[int]] = [set() for _ in self.users]
-        for u, p in edges:
-            page_users[p].add(u)
-            user_pages[u].add(p)
-        self.page_users = [sorted(s) for s in page_users]
-        self.user_pages = [sorted(s) for s in user_pages]
+        index = {p: i for i, p in enumerate(self.pages)}
+        by_user: defaultdict[str, set[int]] = defaultdict(set)
+        for u, p in pairs:
+            by_user[u].add(index[p])
+        self.users: tuple[str, ...] = tuple(sorted(by_user))
+        self.user_pages = [sorted(by_user[u]) for u in self.users]
 
     @property
     def n_edges(self) -> int:
-        return sum(len(s) for s in self.page_users)
-
-    def page_degree(self, page: str) -> int:
-        return len(self.page_users[self.page_index[page]])
+        return sum(map(len, self.user_pages))
 
 
 def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
@@ -102,18 +97,8 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
     """
     if action not in ENGAGEMENT_ACTIONS:
         raise ValueError(f"action must be like or comment, got {action!r}")
-    pages = sorted(d.pages)
-    pairs = {(r.user, r.page) for r in d.records if r.action == action}
-    return BipartiteGraph(pages, *index_pairs(pairs, pages), action)
-
-
-def index_pairs(pairs, pages) -> tuple[list[str], list[tuple[int, int]]]:
-    """Sorted users of distinct (user, page) ``pairs``, and the pairs as
-    (user id, page id) edges, ids indexing the users and the sorted ``pages``."""
-    users = sorted({u for u, _ in pairs})
-    uidx = {u: i for i, u in enumerate(users)}
-    pidx = {p: i for i, p in enumerate(pages)}
-    return users, [(uidx[u], pidx[p]) for u, p in pairs]
+    pairs = ((r.user, r.page) for r in d.records if r.action == action)
+    return BipartiteGraph(sorted(d.pages), pairs, action)
 
 
 class ProjectionGraph:
@@ -166,31 +151,19 @@ class ProjectionGraph:
         rows = [(*sorted((self.nodes[i], self.nodes[j])), w) for i, j, w in self.edges()]
         return csv_text(["page_a", "page_b", "weight"], sorted(rows))
 
-    @classmethod
-    def from_csv(cls, stream) -> "ProjectionGraph":
-        if isinstance(stream, str):
-            stream = io.StringIO(stream)
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != ["page_a", "page_b", "weight"]:
-            raise ValueError("expected header page_a,page_b,weight")
-        raw = [(a, b, int(w)) for a, b, w in reader]
-        nodes = sorted({a for a, _, _ in raw} | {b for _, b, _ in raw})
-        index = {n: i for i, n in enumerate(nodes)}
-        return cls(nodes, [(index[a], index[b], w) for a, b, w in raw])
-
 
 def project(b: BipartiteGraph) -> ProjectionGraph:
     """One-mode projection onto pages, by pair counting.
 
-    Page i's row counts, in one ``Counter``, the pages j > i in its users'
-    sorted page lists, never all-pairs set intersection.
+    Each user's sorted pages ``ps`` add ``ps[k+1:]`` to page ``ps[k]``'s row,
+    one ``Counter`` per page, never all-pairs set intersection.
     """
-    up = b.user_pages
+    rows = [Counter() for _ in b.pages]
+    for ps in b.user_pages:
+        for k, i in enumerate(ps):
+            rows[i].update(ps[k + 1:])
     return ProjectionGraph(b.pages, [
-        (i, j, w) for i, users in enumerate(b.page_users)
-        for j, w in Counter(chain.from_iterable(
-            up[u][bisect_right(up[u], i):] for u in users)).items()])
+        (i, j, w) for i, row in enumerate(rows) for j, w in row.items()])
 
 
 def induced_subgraph(g: ProjectionGraph, keep) -> ProjectionGraph:

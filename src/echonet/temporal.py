@@ -16,7 +16,7 @@ import numpy as np
 
 from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
-from .graphs import BipartiteGraph, index_pairs, project
+from .graphs import BipartiteGraph, project
 from .ingest import ACTIONS, Dataset
 from .timebins import by_day, quarter_of
 
@@ -129,7 +129,7 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
                     out.append(CohesionPoint(q, side, algo, total, total,
                                              ("degenerate",)))
                 continue
-            g = project(BipartiteGraph(pages, *index_pairs(pairs, pages), action))
+            g = project(BipartiteGraph(pages, pairs, action))
             for algo in algorithms:
                 if g.total_weight == 0:
                     largest = 1  # no co-actors: every page is its own community

@@ -595,11 +595,25 @@ def test_a_write_failing_in_its_second_chunk_publishes_nothing(corpus, capsys, m
 
 
 def test_an_output_that_cannot_be_created_removes_the_written_ones(corpus, capsys):
+    """A 240-character name is a valid file name, but its temporary file's
+    name is over the 255-byte limit, so the second output fails to open
+    after the first is written."""
     before = listing(corpus)
-    argv = TINY_SYNTH[:-2] + ["--truth", "data.jsonl/labels.csv", "--out-dir", str(corpus)]
+    argv = TINY_SYNTH[:-2] + ["--truth", "l" * 240, "--out-dir", str(corpus)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: [Errno ")
     assert listing(corpus) == before
+
+
+def test_an_output_under_a_file_is_refused_before_any_directory_is_made(tmp_path, capsys):
+    (tmp_path / "afile").write_text("x\n")
+    argv = TINY_SYNTH[:-4] + ["--out", "new/sub/data.jsonl", "--truth", "afile/labels.csv",
+                              "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output {tmp_path / 'afile/labels.csv'} lies under a file: "
+        f"{tmp_path.resolve() / 'afile'}"]
+    assert listing(tmp_path) == {"afile": b"x\n"}
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

@@ -1,5 +1,8 @@
+import csv
+import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from echonet.graphs import (
     largest_component_size,
     project,
 )
+from echonet.synth import SynthConfig, generate
 
 from conftest import dataset, random_dataset, random_weighted_graph, rec
 
@@ -23,7 +27,51 @@ def test_multiplicity_collapsed():
                 rec("u1", "p1", "like", "2014-02-01"))
     b = build_bipartite(d, "like")
     assert b.n_edges == 1
-    assert b.page_degree("p1") == 1
+    assert b.users == ("u1",) and b.user_pages == [[0]]
+
+
+def test_repeated_pairs_collapse():
+    pairs = [("u2", "b"), ("u1", "c"), ("u2", "b"), ("u1", "a"), ("u1", "c")]
+    b = BipartiteGraph(["a", "b", "c"], pairs, "like")
+    assert b.users == ("u1", "u2")
+    assert b.user_pages == [[0, 2], [1]] and b.n_edges == 3
+
+
+def test_pages_without_pairs_stay_nodes():
+    b = BipartiteGraph(["a", "b", "c", "d"], iter([("u1", "b"), ("u2", "b")]), "comment")
+    assert b.pages == ("a", "b", "c", "d") and b.action == "comment"
+    assert b.user_pages == [[1], [1]]
+    g = project(b)
+    assert g.nodes == b.pages and g.n_edges == 0
+
+
+def test_users_sorted_and_only_those_with_pairs():
+    pairs = [("u10", "p"), ("u2", "p"), ("u1", "q"), ("u2", "q")]
+    b = BipartiteGraph(["p", "q"], pairs, "like")
+    assert b.users == ("u1", "u10", "u2")
+    assert b.user_pages == [[1], [0], [0, 1]]
+    assert BipartiteGraph(["p", "q"], [], "like").users == ()
+
+
+def test_build_bipartite_holds_a_few_words_per_record():
+    """Peak memory of a build, result included, per record of the action.
+
+    The records are built before tracing starts, so only the build's own
+    objects count. A set of (user, page) string pairs, or a second incidence
+    by page, costs more than the bound on its own.
+    """
+    cfg = SynthConfig(users_per_side=(600, 600), pages_per_side=(12, 8),
+                      actions_per_user=("fixed", 20), posts_per_page=10, seed=4)
+    d = generate(cfg)[0]
+    n_likes = sum(r.action == "like" for r in d.records)
+    tracemalloc.start()
+    try:
+        b = build_bipartite(d, "like")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_likes == 19_191 and b.n_edges == 9_843
+    assert peak <= 100 * n_likes
 
 
 def test_kind_filter_empty_edges():
@@ -39,12 +87,9 @@ def test_bipartite_edges_match_brute_force():
         b = build_bipartite(d, kind)
         expected = {(r.user, r.page) for r in d.records if r.action == kind}
         got = {(b.users[u], b.pages[p])
-               for p, us in enumerate(b.page_users) for u in us}
-        assert got == expected
-        # symmetric user->pages index agrees
-        got_u = {(b.users[u], b.pages[p])
-                 for u, ps in enumerate(b.user_pages) for p in ps}
-        assert got_u == expected
+               for u, ps in enumerate(b.user_pages) for p in ps}
+        assert got == expected and b.n_edges == len(expected)
+        assert b.pages == tuple(sorted(d.pages))
 
 
 def test_project_minimal_overlap():
@@ -78,21 +123,27 @@ def test_project_weights_match_brute_force():
 def test_projection_weight_sum_identity():
     for seed in range(5):
         d = random_dataset(300, seed=seed)
-        b = build_bipartite(d, "like")
-        g = project(b)
-        expected = sum(len(ps) * (len(ps) - 1) // 2 for ps in b.user_pages)
+        g = project(build_bipartite(d, "like"))
+        pages_of: dict[str, set] = {}
+        for r in d.records:
+            if r.action == "like":
+                pages_of.setdefault(r.user, set()).add(r.page)
+        expected = sum(len(ps) * (len(ps) - 1) // 2 for ps in pages_of.values())
         assert sum(w for _i, _j, w in g.edges()) == expected
 
 
 def random_bipartite(rng, n_pages, n_users):
-    """Users of degree 0 to n_pages, degree 0 and 1 drawn often."""
-    edges = []
+    """Users of degree 0 to n_pages, degree 0 and 1 drawn often, some pairs
+    given twice; returns the graph and its distinct (user, page) pairs."""
+    pages = [f"p{i:02d}" for i in range(n_pages)]
+    pairs = []
     for u in range(n_users):
         k = min(n_pages, int(rng.choice([0, 1, int(rng.integers(0, n_pages + 1))])))
-        edges += [(u, int(p)) for p in rng.choice(n_pages, size=k, replace=False)]
-    rng.shuffle(edges)
-    return BipartiteGraph([f"p{i:02d}" for i in range(n_pages)],
-                          [f"u{i:02d}" for i in range(n_users)], edges, "like")
+        pairs += [(f"u{u:02d}", pages[p]) for p in rng.choice(n_pages, size=k, replace=False)]
+    repeats = [pairs[i] for i in rng.integers(0, len(pairs), len(pairs) // 3)] if pairs else []
+    given = pairs + repeats
+    rng.shuffle(given)
+    return BipartiteGraph(pages, given, "like"), set(pairs)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -101,14 +152,15 @@ def test_project_sorted_edges_and_adjacency_match_brute_force(seed):
     shapes = [(0, 0), (3, 0), (0, 4), (1, 5), (2, 1)] + [
         (int(rng.integers(2, 15)), int(rng.integers(1, 25))) for _ in range(10)]
     for n_pages, n_users in shapes:
-        b = random_bipartite(rng, n_pages, n_users)
-        assert all(ps == sorted(set(ps)) for ps in b.user_pages + b.page_users)
+        b, pairs = random_bipartite(rng, n_pages, n_users)
+        assert all(ps == sorted(set(ps)) for ps in b.user_pages)
+        assert b.users == tuple(sorted({u for u, _p in pairs}))
         g = project(b)
         edges = list(g.edges())
         assert edges == sorted(edges)
         for v in range(g.n_nodes):
             assert list(g.adj[v]) == sorted(g.adj[v])
-        users_of = [set(us) for us in b.page_users]
+        users_of = [{u for u, p in pairs if p == page} for page in b.pages]
         expected = [(i, j, len(users_of[i] & users_of[j]))
                     for i, j in itertools.combinations(range(n_pages), 2)
                     if users_of[i] & users_of[j]]
@@ -224,7 +276,9 @@ def test_projection_csv_round_trip():
     g = random_weighted_graph(10, 0.5, seed=7)
     text = g.to_csv()
     assert text.splitlines()[0] == "page_a,page_b,weight"
-    g2 = ProjectionGraph.from_csv(text)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    index = {n: i for i, n in enumerate(g.nodes)}
+    g2 = ProjectionGraph(g.nodes, [(index[a], index[b], int(w)) for a, b, w in rows])
     assert g2.to_csv() == text
 
 
