@@ -699,3 +699,40 @@ def test_project_and_validate_load_no_scipy_sparse(corpus):
         "             '--draws', '5', '--out', 'v.csv']) == 0\n"
         "print('scipy.sparse' in sys.modules)\n")
     assert python_run(code).stdout.strip() == "False"
+
+
+EMPTY_OUTPUTS = {
+    "validate": "graph,communities,fastgreedy,walktrap,multilevel,labelprop\n",
+    "timeline": "quarter,community,measure,count\n",
+    "cohesion": "quarter,community,algorithm,largest,total\n",
+    "project": "page_a,page_b,weight\n",
+    "summary": "measure,pro,anti\n" + "".join(
+        f"{f},0,0\n" for f in ("pages", "posts", "likes", "likers", "comments",
+                               "commenters", "users")),
+    "ingest": "",
+}
+EMPTY_ERRORS = {
+    "polarize": "error: no profiles to bin",
+    "exposure": "error: dataset has no like records on mapped pages",
+    "detect": "error: graph is empty",
+    "anova": "error: no observations",
+}
+
+
+@pytest.mark.filterwarnings("ignore:no (like|comment) records")
+@pytest.mark.parametrize("sub", [*EMPTY_OUTPUTS, *EMPTY_ERRORS])
+def test_an_empty_input_gives_empty_outputs_or_one_error(tmp_path, capsys, sub):
+    (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "labels.csv").write_text("page_id,label\np1,pro\np2,anti\n")
+    argv = [sub, "--out-dir", str(tmp_path), "--in", "empty.jsonl", "--out", "out"]
+    if sub not in ("project", "ingest", "detect"):
+        argv += ["--labels", "labels.csv"]
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    if sub in EMPTY_OUTPUTS:
+        assert (rc, err) == (0, [])
+        assert (tmp_path / "out").read_text() == EMPTY_OUTPUTS[sub]
+        assert (tmp_path / "out.manifest.json").exists()
+    else:
+        assert (rc, err) == (1, [EMPTY_ERRORS[sub]])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl", "labels.csv"]
