@@ -11,7 +11,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .ingest import ENGAGEMENT_ACTIONS, Dataset, csv_text
+import numpy as np
+
+from .ingest import ACTION_CODES, ENGAGEMENT_ACTIONS, Dataset, csv_text
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,13 @@ class BipartiteGraph:
         self.users: tuple[str, ...] = tuple(sorted(by_user))
         self.user_pages = [sorted(by_user[u]) for u in self.users]
 
+    @classmethod
+    def from_incidence(cls, pages, users, user_pages, action: str) -> "BipartiteGraph":
+        """The graph whose fields are given as __init__ would store them."""
+        b = cls.__new__(cls)
+        b.pages, b.users, b.user_pages, b.action = tuple(pages), tuple(users), user_pages, action
+        return b
+
     @property
     def n_edges(self) -> int:
         return sum(map(len, self.user_pages))
@@ -97,8 +106,17 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
     """
     if action not in ENGAGEMENT_ACTIONS:
         raise ValueError(f"action must be like or comment, got {action!r}")
-    pairs = ((r.user, r.page) for r in d.records if r.action == action)
-    return BipartiteGraph(sorted(d.pages), pairs, action)
+    rows = d.action == ACTION_CODES[action]
+    shape = (len(d.user_table), len(d.page_table))
+    user, page = np.unravel_index(np.unique(np.ravel_multi_index(
+        (d.user[rows], d.page[rows]), shape)), shape)  # distinct pairs by user, then page
+    users, starts = np.unique(user, return_index=True)
+    pages = np.unique(d.page)
+    ids = np.searchsorted(pages, page).tolist()
+    bounds = [*starts.tolist(), len(ids)]
+    return BipartiteGraph.from_incidence(
+        d.page_table[pages].tolist(), d.user_table[users].tolist(),
+        [ids[a:b] for a, b in zip(bounds, bounds[1:])], action)
 
 
 class ProjectionGraph:

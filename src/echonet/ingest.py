@@ -12,14 +12,16 @@ import csv
 import io
 import json
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
-from functools import partial
-from itertools import compress, count, groupby, islice, repeat
+from functools import cached_property, partial
+from itertools import count, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import eq, is_not, itemgetter
+from operator import is_not
 from typing import NamedTuple
+
+import numpy as np
 
 from .timebins import (
     canonical_seconds,
@@ -34,6 +36,10 @@ from .timebins import (
 
 ACTIONS = ("post", "like", "comment")
 ENGAGEMENT_ACTIONS = ("like", "comment")
+# Action codes follow string order: comment 0, like 1, post 2.
+ACTION_TABLE = np.array(sorted(ACTIONS), dtype=object)
+ACTION_CODES = {a: i for i, a in enumerate(ACTION_TABLE.tolist())}
+POST = ACTION_CODES["post"]
 
 DEFAULT_MIN_POSTS = 10
 DEFAULT_RANGE = (date(2010, 1, 1), date(2017, 5, 31))
@@ -60,45 +66,100 @@ class InteractionRecord(NamedTuple):
     action: str
     ts: int  # epoch seconds, UTC
 
-    def sort_key(self):
-        return (self.ts, self.page, self.post, self.user, self.action)
-
 
 class Dataset:
-    """Immutable collection of interaction records.
+    """Interaction records as numpy columns of codes into sorted string tables.
 
-    Users are defined as the actors of like and comment actions; post records
-    carry the page's publisher as actor and do not contribute to the user set.
-    ``skipped_lines`` counts the malformed lines a lenient parse skipped.
+    ``user_table``, ``page_table`` and ``post_table`` hold distinct strings in
+    sorted order, so codes sort as their strings do; a table may hold strings
+    no row uses. The columns ``user``, ``page`` and ``post`` (int32 codes),
+    ``action`` (int8 code into ACTION_TABLE) and ``ts`` (int64 epoch seconds)
+    hold one row per record. ``Dataset(records)`` codes any iterable of
+    records (``coded``, the tables and columns sort_codes returns, stands in
+    for them), and ``records`` builds them back, in row order, on first use.
+    Users are the actors of like and comment actions: a post record's actor is
+    the page's publisher. ``skipped_lines`` counts lines a lenient parse skipped.
     """
 
-    def __init__(self, records, skipped_lines: int = 0):
-        self.records: tuple[InteractionRecord, ...] = tuple(records)
+    def __init__(self, records=(), skipped_lines: int = 0, *, coded=None):
+        if coded is None:
+            columns = _Columns()
+            columns.add(records)
+            coded = sort_codes(columns.codes, columns.columns)
+        self.tables, self.columns = map(tuple, coded)
+        self.user_table, self.page_table, self.post_table = self.tables
+        self.user, self.page, self.post, self.action, self.ts = self.columns
         self.skipped_lines = skipped_lines
+
+    def take(self, rows) -> "Dataset":
+        """The records at ``rows`` (indices, a mask or a slice), sharing the tables."""
+        return Dataset(coded=(self.tables, [c[rows] for c in self.columns]))
+
+    @cached_property
+    def records(self) -> tuple[InteractionRecord, ...]:
+        strings = [t[c].tolist() for t, c in zip((*self.tables, ACTION_TABLE), self.columns)]
+        return tuple(map(tuple.__new__, repeat(InteractionRecord), zip(*strings, self.ts.tolist())))
 
     @property
     def pages(self) -> set[str]:
-        return {r.page for r in self.records}
+        return set(self.page_table[np.unique(self.page)].tolist())
 
     @property
     def users(self) -> set[str]:
-        return {r.user for r in self.records if r.action in ENGAGEMENT_ACTIONS}
+        return set(self.user_table[np.unique(self.user[self.action != POST])].tolist())
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ts)
 
-    def on_sides(self, action: str, sides: dict[str, str]):
-        """Yield (record, side) for each ``action`` record on a page ``sides`` maps."""
-        for r in self.records:
-            if r.action == action and (side := sides.get(r.page)) is not None:
-                yield r, side
+    def on_sides(self, action: str | None, sides: dict[str, str]):
+        """Rows of the ``action`` records (all records for None) on pages ``sides``
+        maps, each row's side as an index into the sorted side names, and those names."""
+        names = sorted(set(sides.values()))
+        index = {name: i for i, name in enumerate(names)}
+        side_of = np.array([index.get(sides.get(p), -1) for p in self.page_table.tolist()],
+                           dtype=np.int64)
+        rows = np.arange(len(self)) if action is None else \
+            np.flatnonzero(self.action == ACTION_CODES[action])
+        side = side_of[self.page[rows]]
+        return rows[side >= 0], side[side >= 0], names
 
     def quarter_span(self) -> list[tuple[int, int]]:
         """All calendar quarters between the first and last record, inclusive."""
-        if not self.records:
+        if not len(self):
             return []
-        ts = [r.ts for r in self.records]
-        return quarter_range(quarter_of(min(ts)), quarter_of(max(ts)))
+        return quarter_range(quarter_of(int(self.ts.min())), quarter_of(int(self.ts.max())))
+
+
+class _Columns:
+    """Columns as they are read, each string coded in order of first sight."""
+
+    def __init__(self):
+        self.codes = ({}, {}, {})  # user, page and post string -> code
+        self.columns = (array("i"), array("i"), array("i"), array("b"), array("q"))
+
+    def extend(self, users, pages, posts, actions, stamps) -> None:
+        for codes, column, strings in zip(self.codes, self.columns, (users, pages, posts)):
+            codes.update(zip(set(strings).difference(codes), count(len(codes))))
+            column.extend(array("i", list(map(codes.get, strings))))
+        self.columns[3].extend(array("b", list(map(ACTION_CODES.get, actions))))
+        self.columns[4].extend(stamps)
+
+    def add(self, records) -> None:
+        self.extend(*(tuple(zip(*records)) or ((),) * 5))
+
+
+def sort_codes(tables, columns) -> tuple:
+    """Sort the user, page and post ``tables`` (distinct strings in any order)
+    and recode the matching ``columns`` (user, page, post, action, ts); return
+    the sorted tables and the columns as numpy arrays."""
+    sorted_tables, recoded = [], []
+    for strings, codes in zip(tables, columns):
+        table = np.array(list(strings), dtype=object)
+        order = np.argsort(table)
+        sorted_tables.append(table[order])
+        recoded.append(np.argsort(order).astype(np.int32)[np.asarray(codes, np.int32)])
+    action, ts = np.asarray(columns[3], np.int8), np.asarray(columns[4], np.int64)
+    return sorted_tables, (*recoded, action, ts)
 
 
 def _record_from_obj(obj, line_no: int) -> InteractionRecord:
@@ -174,47 +235,44 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     records: list[InteractionRecord] = []
     skipped = 0
     if format == "jsonl":
-        intern = {}.setdefault
+        columns = _Columns()
         line_no = 1
         for lines in iter(partial(stream.readlines, BLOCK_CHARS), []):
-            line_no, n = _scan_block("".join(lines), line_no, strict, records, intern)
+            line_no, n = _scan_block("".join(lines), line_no, strict, columns)
             skipped += n
-    else:
-        for line_no, row in _csv_rows(stream):
-            if not row:
-                continue
-            if line_no == 1 and row == CSV_HEADER:
-                continue
-            try:
-                if isinstance(row, ParseError):
-                    raise row
-                if len(row) != 5:
-                    raise ParseError(line_no, f"expected 5 columns, got {len(row)}")
-                records.append(_make_record(*row, line_no))
-            except ParseError:
-                if strict:
-                    raise
-                skipped += 1
-
+        return Dataset(skipped_lines=skipped, coded=sort_codes(columns.codes, columns.columns))
+    for line_no, row in _csv_rows(stream):
+        if not row or line_no == 1 and row == CSV_HEADER:
+            continue
+        try:
+            if isinstance(row, ParseError):
+                raise row
+            if len(row) != 5:
+                raise ParseError(line_no, f"expected 5 columns, got {len(row)}")
+            records.append(_make_record(*row, line_no))
+        except ParseError:
+            if strict:
+                raise
+            skipped += 1
     return Dataset(records, skipped)
 
 
-def _scan_block(block: str, line_no: int, strict: bool, records: list, intern):
-    """Append the records of a block of whole lines from ``line_no`` on; return
-    the next line's number and the lines skipped."""
+def _scan_block(block: str, line_no: int, strict: bool, columns: _Columns):
+    """Add the records of a block of whole lines from ``line_no`` on to
+    ``columns``; return the next line's number and the lines skipped."""
     rows = _LINE.findall(block, 0, len(block) - block.endswith("\n"))
-    *columns, days, hours, minutes, seconds = zip(*rows)
+    *fields, days, hours, minutes, seconds = zip(*rows)
     stamps = list(map(canonical_seconds, days, hours, minutes, seconds))
     lines = block.split("\n") if None in stamps else ()
     skipped = start = 0
     for read, run in groupby(stamps, partial(is_not, None)):  # runs of lines read or not
         stop = start + len(list(run))
         if read:
-            fields = [map(intern, c[start:stop], c[start:stop]) for c in columns]
-            records.extend(map(tuple.__new__, repeat(InteractionRecord),
-                               zip(*fields, stamps[start:stop])))
+            columns.extend(*(f[start:stop] for f in fields), stamps[start:stop])
         else:
+            records: list[InteractionRecord] = []
             skipped += _parse_jsonl_lines(lines[start:stop], line_no + start, strict, records)
+            columns.add(records)
         start = stop
     return line_no + len(rows), skipped
 
@@ -281,24 +339,9 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _canonical_order(records) -> list:
-    """``records`` sorted by InteractionRecord.sort_key.
-
-    One stable sort by ts, whose keys are the records' own ints, then a sort by
-    the whole key of each run of equal ts. A whole-key sort would build a key
-    tuple per record, about 100 bytes each, and is slower unless most records
-    share their ts with another.
-    """
-    ts = itemgetter(4)
-    ordered = sorted(records, key=ts)
-    tied = list(compress(count(), map(eq, map(ts, ordered), map(ts, islice(ordered, 1, None)))))
-    # tied holds each i whose record shares its ts with record i + 1; a run of
-    # consecutive i keeps one value of i minus its position in tied
-    for _, run in groupby(enumerate(tied), lambda pair: pair[1] - pair[0]):
-        run = list(run)
-        lo, hi = run[0][1], run[-1][1] + 2
-        ordered[lo:hi] = sorted(ordered[lo:hi], key=itemgetter(4, 1, 2, 0, 3))
-    return ordered
+def _canonical(d: Dataset) -> np.ndarray:
+    """The rows of ``d`` by (ts, page, post, user, action): codes sort as strings."""
+    return np.lexsort((d.action, d.user, d.post, d.page, d.ts))
 
 
 def serialize_records(d: Dataset, format: str = "jsonl") -> str:
@@ -306,36 +349,36 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
 
     Parsing the output and re-serializing reproduces it byte for byte. A JSONL
     line is ``json.dumps`` of the record's fields in that order with
-    ``separators=(",", ":")`` and the timestamp from format_timestamp; it is
-    built from each distinct string escaped once and each distinct UTC day
-    formatted once.
+    ``separators=(",", ":")`` and the timestamp from format_timestamp, built
+    from each distinct string escaped once and each UTC day formatted once.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    ordered = _canonical_order(d.records)
-    stamp = timestamp_formatter()
+    d = d.take(_canonical(d))
+    stamps = map(timestamp_formatter(), d.ts.tolist())
+    tables = (*d.tables, ACTION_TABLE)
     if format == "csv":
-        return csv_text(CSV_HEADER, ((r.user, r.page, r.post, r.action, stamp(r.ts))
-                                     for r in ordered))
-    strings = {v for r in ordered for v in (r.user, r.page, r.post, r.action)}
-    quoted = {v: encode_basestring_ascii(v) for v in strings}
-    return "".join([
-        f'{{"user":{quoted[r.user]},"page":{quoted[r.page]},"post":{quoted[r.post]},'
-        f'"action":{quoted[r.action]},"ts":"{stamp(r.ts)}"}}\n'
-        for r in ordered])
+        strings = [t[c].tolist() for t, c in zip(tables, d.columns)]
+        return csv_text(CSV_HEADER, zip(*strings, stamps))
+    quoted = []
+    for table, codes in zip(tables, d.columns):
+        used, inverse = np.unique(codes, return_inverse=True)
+        escaped = np.array([encode_basestring_ascii(v) for v in table[used].tolist()], object)
+        quoted.append(escaped[inverse].tolist())
+    return "".join([f'{{"user":{u},"page":{p},"post":{s},"action":{a},"ts":"{t}"}}\n'
+                    for u, p, s, a, t in zip(*quoted, stamps)])
 
 
 def serialize_chunks(d: Dataset):
     """Yield the canonical JSONL text of ``d`` in chunks of WRITE_RECORDS records.
 
-    The chunks joined are ``serialize_records(d)``: the records are sorted once
-    and each consecutive part is serialized by it (its sort of a sorted part is
-    one linear pass), so a writer holds one chunk's text at a time.
-    """
+    The chunks joined are ``serialize_records(d)``: the rows are sorted once and
+    each consecutive part, which sorts to itself, is serialized by it, so a
+    writer holds one chunk's text at a time."""
     step = WRITE_RECORDS
-    ordered = _canonical_order(d.records)
-    for start in range(0, len(ordered), step):
-        yield serialize_records(Dataset(ordered[start:start + step]))
+    order = _canonical(d)
+    for start in range(0, len(order), step):
+        yield serialize_records(d.take(order[start:start + step]))
 
 
 def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,
@@ -351,12 +394,9 @@ def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,
     start, end = parse_date(date_range[0]), parse_date(date_range[1])
     if start > end:
         raise ValueError(f"empty date range {start}..{end}")
-    lo, hi = day_start(start), day_end(end)
-
-    in_range = [r for r in d.records if lo <= r.ts <= hi]
-    post_counts = Counter(r.page for r in in_range if r.action == "post")
-    keep = {p for p in {r.page for r in in_range} if post_counts[p] >= min_posts}
-    return Dataset(r for r in in_range if r.page in keep)
+    keep = (d.ts >= day_start(start)) & (d.ts <= day_end(end))
+    posts = np.bincount(d.page[keep & (d.action == POST)], minlength=len(d.page_table))
+    return d.take(keep & (posts[d.page] >= min_posts))
 
 
 @dataclass
@@ -400,23 +440,19 @@ def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
     for lab in label_of.values():
         rows.setdefault(lab, SummaryRow()).pages += 1
 
-    actors: dict[tuple[str, str], set[str]] = {
-        (lab, action): set() for lab in rows for action in ENGAGEMENT_ACTIONS}
-    for r in d.records:
-        lab = label_of[r.page]
-        if r.action == "post":
-            rows[lab].posts += 1
-        elif r.action == "like":
-            rows[lab].likes += 1
-            actors[lab, "like"].add(r.user)
-        else:
-            rows[lab].comments += 1
-            actors[lab, "comment"].add(r.user)
-
-    for lab, row in rows.items():
-        likers, commenters = actors[lab, "like"], actors[lab, "comment"]
-        row.likers, row.commenters = len(likers), len(commenters)
-        row.users = len(likers | commenters)
+    _, label, names = d.on_sides(None, label_of)  # every record and its label
+    n, n_users, engaged = len(names), max(len(d.user_table), 1), d.action != POST
+    cells = label * 3 + d.action  # (label, action code) of each record
+    records = np.bincount(cells, minlength=3 * n).tolist()
+    actors = np.unique(cells[engaged] * n_users + d.user[engaged]) // n_users
+    actors = np.bincount(actors, minlength=3 * n).tolist()
+    users = np.unique(label[engaged] * n_users + d.user[engaged]) // n_users
+    users = np.bincount(users, minlength=n).tolist()
+    for i, name in enumerate(names):
+        row = rows[name]
+        row.comments, row.likes, row.posts = records[3 * i:3 * i + 3]
+        row.commenters, row.likers = actors[3 * i:3 * i + 2]
+        row.users = users[i]
     return SummaryTable(rows)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .compare import DegenerateDataWarning
 from .graphs import Partition
-from .ingest import Dataset
-from .timebins import WINDOW_KEYS, by_day
+from .ingest import ACTION_CODES, Dataset
+from .timebins import WINDOW_KEYS, day_bins
 
 DEFAULT_MIN_ACTIONS = 10
 DEFAULT_BINS = 21
@@ -67,13 +67,6 @@ class UserEngagement:
     activity_std: float
 
 
-def side_order(sides: dict[str, str]) -> tuple[str, str]:
-    values = sorted(set(sides.values()))
-    if len(values) != 2:
-        raise ValueError(f"side map must use exactly 2 side values, got {values}")
-    return (values[0], values[1])
-
-
 def two_largest_sides(p: Partition) -> dict[str, str]:
     """Side map from a detected partition: its two biggest communities.
 
@@ -84,11 +77,7 @@ def two_largest_sides(p: Partition) -> dict[str, str]:
         raise ValueError("partition has fewer than 2 communities")
     comms = p.communities()
     order = sorted(range(len(comms)), key=lambda c: (-len(comms[c]), min(comms[c])))
-    sides: dict[str, str] = {}
-    for name, c in zip(("c1", "c2"), order[:2]):
-        for page in comms[c]:
-            sides[page] = name
-    return sides
+    return {page: name for name, c in zip(("c1", "c2"), order[:2]) for page in comms[c]}
 
 
 def user_polarization(d: Dataset, sides: dict[str, str], action: str = "like",
@@ -101,16 +90,13 @@ def user_polarization(d: Dataset, sides: dict[str, str], action: str = "like",
     """
     if not sides:
         raise ValueError("empty side map")
-    second = side_order(sides)[1]
-    counts: dict[str, list[int]] = {}
-    for r, side in d.on_sides(action, sides):
-        counts.setdefault(r.user, [0, 0])[side == second] += 1
-    out = []
-    for user in sorted(counts):
-        x, y = counts[user]
-        if x + y >= min_actions:
-            out.append(PolarizationProfile(user, x, y, (x - y) / (x + y)))
-    return out
+    rows, side, names = d.on_sides(action, sides)  # side 0 is x's, 1 is y's
+    if len(names) != 2:
+        raise ValueError(f"side map must use exactly 2 side values, got {names}")
+    x, y = (np.bincount(d.user[rows[side == s]], minlength=len(d.user_table)) for s in (0, 1))
+    users = np.flatnonzero((x + y > 0) & (x + y >= min_actions))
+    return [PolarizationProfile(user, x, y, (x - y) / (x + y)) for user, x, y in zip(
+        d.user_table[users].tolist(), x[users].tolist(), y[users].tolist())]
 
 
 def polarization_histogram(profiles, bins: int = DEFAULT_BINS) -> Histogram:
@@ -141,35 +127,24 @@ def user_engagement(d: Dataset, sides: dict[str, str],
     majority of their likes (ties: first side in sorted order). Communities
     with a constant measure get standardized values of 0, flagged.
     """
-    per_user: dict[str, dict] = {}
-    for r, side in d.on_sides(action, sides):
-        slot = per_user.setdefault(r.user, {"first": r.ts, "last": r.ts, "n": 0,
-                                            "by_side": {}})
-        slot["first"] = min(slot["first"], r.ts)
-        slot["last"] = max(slot["last"], r.ts)
-        slot["n"] += 1
-        slot["by_side"][side] = slot["by_side"].get(side, 0) + 1
-    if not per_user:
+    rows, side, names = d.on_sides(action, sides)
+    if not len(rows):
         raise ValueError(f"dataset has no {action} records on mapped pages")
-
-    grouped: dict[str, list[tuple[str, int, int]]] = {}
-    for user in sorted(per_user):
-        slot = per_user[user]
-        community = max(sorted(slot["by_side"]), key=lambda s: slot["by_side"][s])
-        grouped.setdefault(community, []).append(
-            (user, slot["last"] - slot["first"], slot["n"]))
-
-    out: list[UserEngagement] = []
-    for community in sorted(grouped):
-        rows = grouped[community]
-        lifetimes = [r[1] for r in rows]
-        activities = [r[2] for r in rows]
-        life_std = standardize(lifetimes, "lifetime", community)
-        act_std = standardize(activities, "activity", community)
-        for (user, life, act), ls, as_ in zip(rows, life_std, act_std):
-            out.append(UserEngagement(user, community, life, act, ls, as_))
-    out.sort(key=lambda e: e.user)
-    return out
+    users, user = np.unique(d.user[rows], return_inverse=True)
+    ts = d.ts[rows]
+    first, last = np.full(len(users), ts.max()), np.full(len(users), ts.min())
+    np.minimum.at(first, user, ts)
+    np.maximum.at(last, user, ts)
+    lifetime, activity = last - first, np.bincount(user)
+    by_side = np.bincount(user * len(names) + side, minlength=len(users) * len(names))
+    community = by_side.reshape(len(users), len(names)).argmax(axis=1)  # first of a tie
+    life_std, act_std = np.zeros(len(users)), np.zeros(len(users))
+    for c in np.unique(community).tolist():
+        members = community == c
+        life_std[members] = standardize(lifetime[members].tolist(), "lifetime", names[c])
+        act_std[members] = standardize(activity[members].tolist(), "activity", names[c])
+    return list(map(UserEngagement, d.user_table[users].tolist(), [names[c] for c in community],
+                    lifetime.tolist(), activity.tolist(), life_std.tolist(), act_std.tolist()))
 
 
 def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str, int]:
@@ -178,29 +153,31 @@ def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str,
     """
     if window not in WINDOW_KEYS:
         raise ValueError(f"window must be one of {sorted(WINDOW_KEYS)}, got {window!r}")
-    key_of = by_day(WINDOW_KEYS[window])
-    per_user: dict[str, dict[tuple, set[str]]] = {}
-    for r in d.records:
-        if r.action == action:
-            per_user.setdefault(r.user, {}).setdefault(key_of(r.ts), set()).add(r.page)
-    return {user: max(map(len, windows.values())) for user, windows in per_user.items()}
+    rows = np.flatnonzero(d.action == ACTION_CODES[action])
+    windows, bins = day_bins(d.ts[rows], WINDOW_KEYS[window])
+    n_users, n_pages = len(d.user_table), len(d.page_table)
+    distinct = np.unique(np.ravel_multi_index((d.user[rows], windows, d.page[rows]),
+                                              (n_users, len(bins), n_pages)))
+    user_windows, counts = np.unique(distinct // n_pages, return_counts=True)
+    users, first = np.unique(user_windows // len(bins), return_index=True)
+    return dict(zip(d.user_table[users].tolist(), np.maximum.reduceat(counts, first).tolist()))
 
 
 def community_page_stats(d: Dataset, sides: dict[str, str],
                          action: str = "like") -> dict[str, tuple[float, float]]:
     """Per community: (mean, sample SD) of distinct pages liked per user."""
-    per: dict[str, dict[str, set[str]]] = {}
-    for r, side in d.on_sides(action, sides):
-        per.setdefault(side, {}).setdefault(r.user, set()).add(r.page)
+    rows, side, names = d.on_sides(action, sides)
+    n_users, n_pages = len(d.user_table), len(d.page_table)
+    distinct = np.unique(np.ravel_multi_index((side, d.user[rows], d.page[rows]),
+                                              (len(names), n_users, n_pages)))
+    side_users, pages = np.unique(distinct // n_pages, return_counts=True)
+    side = side_users // n_users
     out: dict[str, tuple[float, float]] = {}
-    for side in sorted(per):
-        counts = [len(pages) for _u, pages in sorted(per[side].items())]
+    for s in np.unique(side).tolist():
+        counts = pages[side == s].tolist()
         mean = sum(counts) / len(counts)
-        if len(counts) > 1:
-            sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (len(counts) - 1))
-        else:
-            sd = 0.0
-        out[side] = (mean, sd)
+        var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1) if len(counts) > 1 else 0.0
+        out[names[s]] = (mean, math.sqrt(var))
     return out
 
 
@@ -216,8 +193,7 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
     Returns (fit, lower95, upper95) arrays over ``eval_points`` (default: the
     sorted unique x values).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     n = len(x)
@@ -227,10 +203,7 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
     k = math.ceil(min(span, 1.0) * n)
     if k < 2:
         raise ValueError(f"span {span} covers fewer than 2 of the {n} points")
-    if eval_points is None:
-        eval_points = np.unique(x)
-    else:
-        eval_points = np.asarray(eval_points, dtype=float)
+    eval_points = np.unique(x) if eval_points is None else np.asarray(eval_points, dtype=float)
 
     def local_coeffs(x0: float):
         """Weight vector l with fit(x0) = l . y."""

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
-from .ingest import DEFAULT_RANGE, Dataset, InteractionRecord
+from .ingest import ACTION_CODES, DEFAULT_RANGE, Dataset, sort_codes
 from .timebins import day_end, day_start, parse_date
 
 SIDES = ("pro", "anti")
@@ -134,27 +134,29 @@ def generate(config: SynthConfig):
     pages_by_side = {side: [f"{side}_p{i:04d}" for i in range(n_pages)]
                      for side, n_pages in zip(SIDES, config.pages_per_side)}
     page_side = {page: side for side in SIDES for page in pages_by_side[side]}
+    pages = list(page_side)  # a page's code here is its index, as publisher and as page
     user_side: dict[str, str] = {}
-    records: list[InteractionRecord] = []
+    # what actions target on a page: its posts, or the "_s0" post if it has none
+    n_posts = max(config.posts_per_page, 1)
+    posts = [f"{page}_s{j:05d}" if config.posts_per_page else f"{page}_s0"
+             for page in pages for j in range(n_posts)]
 
     # page posts, one Philox stream per page
-    post_ids: dict[str, list[str]] = {}
-    for page_index, page in enumerate(page_side):
-        rng = _entity_rng(config.seed, _PAGE_STREAM + page_index)
-        ts = rng.integers(t0, t1 + 1, size=config.posts_per_page).tolist()
-        ids = [f"{page}_s{j:05d}" for j in range(config.posts_per_page)]
-        post_ids[page] = ids or [f"{page}_s0"]  # what actions target on a page without posts
-        records += map(tuple.__new__, repeat(InteractionRecord),
-                       zip(repeat(page), repeat(page), ids, repeat("post"), ts))
+    stamps = [_entity_rng(config.seed, _PAGE_STREAM + i).integers(
+        t0, t1 + 1, size=config.posts_per_page) for i in range(len(pages))]
+    page = np.repeat(np.arange(len(pages)), config.posts_per_page)
+    columns = [[page], [page], [page * n_posts + np.arange(len(page)) % n_posts],
+               [np.full(len(page), ACTION_CODES["post"])], [np.array(stamps, np.int64).reshape(-1)]]
 
     # per-user action streams, numbered in the order users are made
+    first_page = (0, config.pages_per_side[0])
     for si, side in enumerate(SIDES):
-        other = pages_by_side[SIDES[1 - si]]
+        other = (first_page[1 - si], config.pages_per_side[1 - si])
         blocks = config.sub_blocks[si] if config.sub_blocks else (config.pages_per_side[si],)
         ends = list(accumulate(blocks))
-        block_pages = [pages_by_side[side][lo:hi] for lo, hi in zip([0] + ends, ends)]
         users_per_block = _split_proportional(config.users_per_side[si], blocks)
-        own_of_user = [own for own, n in zip(block_pages, users_per_block) for _ in range(n)]
+        own_of_user = [(first_page[si] + lo, hi - lo)
+                       for lo, hi, n in zip([0] + ends, ends, users_per_block) for _ in range(n)]
         for u, own in enumerate(own_of_user):
             user = f"{side}_u{u:06d}"
             rng = _entity_rng(config.seed, _USER_STREAM + len(user_side))
@@ -169,18 +171,20 @@ def generate(config: SynthConfig):
                 continue
 
             # fixed draw order keeps the stream layout independent of outcomes
-            cross = (rng.random(n_act) < config.p_out).tolist()
-            page_u = rng.random(n_act).tolist()
-            post_idx = rng.integers(0, max(config.posts_per_page, 1), size=n_act).tolist()
-            is_comment = (rng.random(n_act) < config.comment_fraction).tolist()
-            ts = rng.integers(t0, t1 + 1, size=n_act).tolist()
+            cross = rng.random(n_act) < config.p_out
+            page_u = rng.random(n_act)
+            post_idx = rng.integers(0, n_posts, size=n_act)
+            is_comment = rng.random(n_act) < config.comment_fraction
+            ts = rng.integers(t0, t1 + 1, size=n_act)
 
-            pools = (own, other)  # indexed by cross
-            pages = [pools[c][int(pu * len(pools[c]))] for c, pu in zip(cross, page_u)]
-            posts = [post_ids[page][k] for page, k in zip(pages, post_idx)]
-            actions = ["comment" if c else "like" for c in is_comment]
-            records += map(tuple.__new__, repeat(InteractionRecord),
-                           zip(repeat(user), pages, posts, actions, ts))
+            first, n_pool = np.where(cross, other[0], own[0]), np.where(cross, other[1], own[1])
+            page = first + (page_u * n_pool).astype(np.int64)  # int(pu * len(pool))
+            action = np.where(is_comment, ACTION_CODES["comment"], ACTION_CODES["like"])
+            for column, values in zip(columns, (np.full(n_act, len(pages) + len(user_side) - 1),
+                                                page, page * n_posts + post_idx, action, ts)):
+                column.append(values)
 
+    tables = [pages + list(user_side), pages, posts]
     labels = dict(page_side)
-    return Dataset(records), PlantedTruth(page_side, user_side), labels
+    return (Dataset(coded=sort_codes(tables, [np.concatenate(c) for c in columns])),
+            PlantedTruth(page_side, user_side), labels)

@@ -12,6 +12,8 @@ import re
 from datetime import date, datetime, timezone
 from functools import lru_cache
 
+import numpy as np
+
 _ISO_Z = re.compile(r"Z$")
 _DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -160,16 +162,16 @@ def iso_week_of(ts: int) -> tuple[int, int]:
 WINDOW_KEYS = {"year": year_of, "month": month_of, "week": iso_week_of}
 
 
-def by_day(key_of):
-    """``key_of`` of an instant, computed once per UTC day, on which every
-    calendar bin (quarter, month, year, ISO week) depends alone."""
-    keys: dict[int, tuple] = {}
-
-    def key(ts: int) -> tuple:
-        day = ts // SECONDS_PER_DAY
-        return keys[day] if day in keys else keys.setdefault(day, key_of(ts))
-
-    return key
+def day_bins(ts, key_of, bins=None) -> tuple[np.ndarray, list[tuple]]:
+    """Each instant's calendar bin as an index into ``bins`` (by default the
+    sorted distinct bins of ``ts``), and the bins. ``key_of`` (quarter, month,
+    year or ISO week, on which the UTC day alone decides) is called once per
+    distinct day of the int64 ``ts``."""
+    days, inverse = np.unique(ts // SECONDS_PER_DAY, return_inverse=True)
+    keys = [key_of(day * SECONDS_PER_DAY) for day in days.tolist()]
+    bins = sorted(set(keys)) if bins is None else bins
+    index = {key: i for i, key in enumerate(bins)}
+    return np.array([index[key] for key in keys], dtype=np.int64)[inverse], bins
 
 
 def quarter_label(q: tuple[int, int]) -> str:

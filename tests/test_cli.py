@@ -736,3 +736,26 @@ def test_an_empty_input_gives_empty_outputs_or_one_error(tmp_path, capsys, sub):
     else:
         assert (rc, err) == (1, [EMPTY_ERRORS[sub]])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl", "labels.csv"]
+
+
+def test_the_benchmark_stages_never_build_the_record_view(tmp_path, monkeypatch):
+    """synth, ingest and every analysis of the criterion-10 chain read the
+    coded columns; building ``Dataset.records`` anywhere on that path fails."""
+    def no_records(d):
+        raise AssertionError("the record view was built")
+
+    monkeypatch.setattr(echonet.ingest.Dataset, "records", property(no_records))
+    common = ["--out-dir", str(tmp_path), "--seed", "3"]
+    run("synth", *common, "--users", "40,40", "--pages", "6,5", "--actions", "fixed:20",
+        "--posts-per-page", "12", "--out", "data.jsonl", "--truth", "labels.csv")
+    run("ingest", *common, "--in", "data.jsonl", "--out", "filtered.jsonl")
+    data = ["--in", "filtered.jsonl", "--labels", "labels.csv"]
+    run("validate", *common, *data, "--draws", "5", "--out", "table1.csv")
+    run("polarize", *common, *data, "--min-actions", "5", "--out", "pdf.csv",
+        "--profiles", "profiles.csv")
+    run("timeline", *common, *data, "--out", "series.csv")
+    run("cohesion", *common, *data, "--algorithms", "all", "--out", "cohesion.csv")
+    run("exposure", *common, *data, "--out", "curve.csv")
+    assert len(read_csv(tmp_path / "series.csv")) > 1
+    with pytest.raises(AssertionError, match="record view"):
+        ingest.parse_records((tmp_path / "data.jsonl").read_text()).records

@@ -123,7 +123,7 @@ def json_lines(d: Dataset) -> str:
     return "".join(
         json.dumps({"user": r.user, "page": r.page, "post": r.post, "action": r.action,
                     "ts": format_timestamp(r.ts)}, separators=(",", ":")) + "\n"
-        for r in sorted(d.records, key=InteractionRecord.sort_key))
+        for r in sorted(d.records, key=lambda r: (r.ts, r.page, r.post, r.user, r.action)))
 
 
 ODD_STRINGS = (rec("u\u00e9\"\\", "p1", "like", "2014-03-01T23:59:59Z"),
@@ -684,3 +684,70 @@ def test_labels_field_over_size_limit():
     with pytest.raises(ParseError) as exc:
         read_labels(f"page_id,label\np1,pro\n{BIG},anti\n")
     assert exc.value.line_no == 3
+
+
+# --- the coded columns against the records they code -----------------------------
+
+def assert_codes_records(d: Dataset, records, skipped: int = 0):
+    """``d`` holds ``records`` in order: sorted tables, and the sizes, sets and
+    span that the records give."""
+    for table in d.tables:
+        assert list(table) == sorted(set(table))
+    assert d.records == tuple(records) and all(type(r.ts) is int for r in d.records)
+    assert (len(d), d.skipped_lines) == (len(records), skipped)
+    assert d.pages == {r.page for r in records}
+    assert d.users == {r.user for r in records if r.action != "post"}
+    stamps = [r.ts for r in records]
+    assert d.quarter_span() == (timebins.quarter_range(quarter_of(min(stamps)),
+                                                       quarter_of(max(stamps)))
+                                if stamps else [])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_codes_follow_string_order_and_give_back_the_records(seed):
+    """Post records (the page is the actor), odd strings and duplicates, coded
+    from records, from canonical and per-line JSONL, and from CSV."""
+    rng = random.Random(seed)
+    records = [*random_dataset(200, seed, n_users=12).records, *ODD_STRINGS]
+    records += rng.sample(records, 20)
+    rng.shuffle(records)
+    assert any(r.action == "post" and r.user == r.page for r in records)
+    assert_codes_records(Dataset(records), records)
+    assert_codes_records(Dataset(iter(records)), records)
+
+    lines = json_lines(Dataset(records)).splitlines()
+    ordered = parse_records("\n".join(lines)).records
+    for i in rng.sample(range(len(lines)), 40):  # read by the per-line path
+        lines[i] = json.dumps(json.loads(lines[i]), ensure_ascii=False)
+    lines.insert(rng.randrange(len(lines)), "not json")
+    assert not all(map(is_canonical, lines))
+    assert_codes_records(parse_records("\n".join(lines), strict=False), ordered, 1)
+    text = serialize_records(Dataset(records), "csv")
+    assert_codes_records(parse_records(text, format="csv"), ordered)
+
+
+def test_an_empty_stream_codes_to_empty_columns():
+    for d in (parse_records(""), parse_records("", format="csv"), Dataset([])):
+        assert_codes_records(d, [])
+        assert all(len(t) == 0 for t in d.tables) and all(len(c) == 0 for c in d.columns)
+
+
+def test_a_parsed_dataset_keeps_a_few_bytes_per_record(tmp_path):
+    """Columns of 21 bytes a record and tables of distinct strings; a tuple of
+    records, about 150 bytes a record, exceeds the bound. The timestamp
+    reader's cache of days is filled first, so only the Dataset counts."""
+    cfg = SynthConfig(users_per_side=(600, 600), pages_per_side=(12, 8),
+                      actions_per_user=("fixed", 20), posts_per_page=10, seed=4)
+    path = tmp_path / "d.jsonl"
+    path.write_text(serialize_records(generate(cfg)[0]), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        parse_records(fh)
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            d = parse_records(fh)
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(d) == 24_200
+    assert current <= 48 * len(d)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from datetime import datetime, timezone
 
@@ -17,6 +18,7 @@ from echonet.metrics import (
     user_engagement,
     user_polarization,
 )
+from echonet.synth import SynthConfig, generate
 from echonet.temporal import cohesion_series
 
 from conftest import dataset, random_dataset, rec
@@ -231,6 +233,28 @@ def test_pages_per_window_matches_per_user_datetime_count(window, key_of):
                     windows.setdefault(key_of(t), set()).add(r.page)
             expected[user] = max(len(pages) for pages in windows.values())
         assert pages_per_window(d, window, action) == expected
+
+
+@pytest.mark.parametrize("window", ["week", "month", "year"])
+def test_pages_per_window_holds_a_few_words_per_record(window):
+    """Peak memory of the group-by, result included, per record of the action.
+
+    The records are coded before tracing starts. A set of pages per (user,
+    window), held for the whole corpus, costs more than the bound.
+    """
+    cfg = SynthConfig(users_per_side=(600, 600), pages_per_side=(12, 8),
+                      actions_per_user=("fixed", 20), posts_per_page=10, seed=4)
+    d = generate(cfg)[0]
+    n_likes = sum(r.action == "like" for r in d.records)
+    pages_per_window(d, window)  # fills the calendar caches
+    tracemalloc.start()
+    try:
+        pages = pages_per_window(d, window)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_likes == 19_191 and len(pages) == 1_200
+    assert peak <= 100 * n_likes
 
 
 # ---------------------------------------------------------------------- stats
