@@ -200,6 +200,8 @@ BLOCK_CHARS = 1 << 16
 # 300 bytes a record, so 4,096 keeps a written file's text near 1 MB at a time;
 # 16,384 raised the benchmark's synth peak RSS from 48 to 52 MB.
 WRITE_RECORDS = 4096
+# The JSON string of each string in an object array.
+_QUOTE = np.frompyfunc(encode_basestring_ascii, 1, 1)
 # What errors="surrogateescape" decodes a byte that is not UTF-8 to.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
@@ -235,8 +237,7 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     records: list[InteractionRecord] = []
     skipped = 0
     if format == "jsonl":
-        columns = _Columns()
-        line_no = 1
+        columns, line_no = _Columns(), 1
         for lines in iter(partial(stream.readlines, BLOCK_CHARS), []):
             line_no, n = _scan_block("".join(lines), line_no, strict, columns)
             skipped += n
@@ -340,8 +341,13 @@ def csv_text(header, rows) -> str:
 
 
 def _canonical(d: Dataset) -> np.ndarray:
-    """The rows of ``d`` by (ts, page, post, user, action): codes sort as strings."""
-    return np.lexsort((d.action, d.user, d.post, d.page, d.ts))
+    """Rows by (ts, page, post, user, action): ts sorted stably, ties lexsorted by code."""
+    order = np.argsort(d.ts, kind="stable")
+    same = np.diff(d.ts[order]) == 0  # row i shares its ts with row i + 1
+    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    rows = order[tied]
+    order[tied] = rows[np.lexsort([c[rows] for c in (d.action, d.user, d.post, d.page, d.ts)])]
+    return order
 
 
 def serialize_records(d: Dataset, format: str = "jsonl") -> str:
@@ -360,11 +366,8 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     if format == "csv":
         strings = [t[c].tolist() for t, c in zip(tables, d.columns)]
         return csv_text(CSV_HEADER, zip(*strings, stamps))
-    quoted = []
-    for table, codes in zip(tables, d.columns):
-        used, inverse = np.unique(codes, return_inverse=True)
-        escaped = np.array([encode_basestring_ascii(v) for v in table[used].tolist()], object)
-        quoted.append(escaped[inverse].tolist())
+    uniques = (np.unique(codes, return_inverse=True) for codes in d.columns)
+    quoted = [_QUOTE(t[used])[inverse].tolist() for t, (used, inverse) in zip(tables, uniques)]
     return "".join([f'{{"user":{u},"page":{p},"post":{s},"action":{a},"ts":"{t}"}}\n'
                     for u, p, s, a, t in zip(*quoted, stamps)])
 
@@ -444,10 +447,8 @@ def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
     n, n_users, engaged = len(names), max(len(d.user_table), 1), d.action != POST
     cells = label * 3 + d.action  # (label, action code) of each record
     records = np.bincount(cells, minlength=3 * n).tolist()
-    actors = np.unique(cells[engaged] * n_users + d.user[engaged]) // n_users
-    actors = np.bincount(actors, minlength=3 * n).tolist()
-    users = np.unique(label[engaged] * n_users + d.user[engaged]) // n_users
-    users = np.bincount(users, minlength=n).tolist()
+    actors, users = (np.bincount(np.unique(k * n_users + d.user[engaged]) // n_users, minlength=m)
+                     .tolist() for k, m in ((cells[engaged], 3 * n), (label[engaged], n)))
     for i, name in enumerate(names):
         row = rows[name]
         row.comments, row.likes, row.posts = records[3 * i:3 * i + 3]
