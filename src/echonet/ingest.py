@@ -97,8 +97,8 @@ class Dataset:
 
     @cached_property
     def records(self) -> tuple[InteractionRecord, ...]:
-        strings = [t[c].tolist() for t, c in zip((*self.tables, ACTION_TABLE), self.columns)]
-        return tuple(map(tuple.__new__, repeat(InteractionRecord), zip(*strings, self.ts.tolist())))
+        fields = [t[c].tolist() for t, c in zip((*self.tables, ACTION_TABLE), self.columns)]
+        return tuple(map(tuple.__new__, repeat(InteractionRecord), zip(*fields, self.ts.tolist())))
 
     @property
     def pages(self) -> set[str]:
@@ -116,12 +116,10 @@ class Dataset:
         maps, each row's side as an index into the sorted side names, and those names."""
         names = sorted(set(sides.values()))
         index = {name: i for i, name in enumerate(names)}
-        side_of = np.array([index.get(sides.get(p), -1) for p in self.page_table.tolist()],
-                           dtype=np.int64)
-        rows = np.arange(len(self)) if action is None else \
-            np.flatnonzero(self.action == ACTION_CODES[action])
-        side = side_of[self.page[rows]]
-        return rows[side >= 0], side[side >= 0], names
+        side_of = [index.get(sides.get(p), -1) for p in self.page_table.tolist()]
+        side = np.array(side_of, dtype=np.int64)[self.page]
+        rows = np.flatnonzero((side >= 0) & (action is None or self.action == ACTION_CODES[action]))
+        return rows, side[rows], names
 
     def quarter_span(self) -> list[tuple[int, int]]:
         """All calendar quarters between the first and last record, inclusive."""
@@ -449,11 +447,9 @@ def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
     records = np.bincount(cells, minlength=3 * n).tolist()
     actors, users = (np.bincount(np.unique(k * n_users + d.user[engaged]) // n_users, minlength=m)
                      .tolist() for k, m in ((cells[engaged], 3 * n), (label[engaged], n)))
-    for i, name in enumerate(names):
-        row = rows[name]
+    for i, row in enumerate(map(rows.get, names)):
         row.comments, row.likes, row.posts = records[3 * i:3 * i + 3]
-        row.commenters, row.likers = actors[3 * i:3 * i + 2]
-        row.users = users[i]
+        row.commenters, row.likers, row.users = *actors[3 * i:3 * i + 2], users[i]
     return SummaryTable(rows)
 
 

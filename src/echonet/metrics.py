@@ -193,7 +193,8 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
     Returns (fit, lower95, upper95) arrays over ``eval_points`` (default: the
     sorted unique x values).
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     n = len(x)
@@ -203,7 +204,10 @@ def loess_fit(x, y, span: float = DEFAULT_SPAN, eval_points=None):
     k = math.ceil(min(span, 1.0) * n)
     if k < 2:
         raise ValueError(f"span {span} covers fewer than 2 of the {n} points")
-    eval_points = np.unique(x) if eval_points is None else np.asarray(eval_points, dtype=float)
+    if eval_points is None:
+        eval_points = np.unique(x)
+    else:
+        eval_points = np.asarray(eval_points, dtype=float)
 
     def local_coeffs(x0: float):
         """Weight vector l with fit(x0) = l . y."""

@@ -145,8 +145,8 @@ def generate(config: SynthConfig):
     stamps = [_entity_rng(config.seed, _PAGE_STREAM + i).integers(
         t0, t1 + 1, size=config.posts_per_page) for i in range(len(pages))]
     page = np.repeat(np.arange(len(pages)), config.posts_per_page)
-    columns = [[page], [page], [page * n_posts + np.arange(len(page)) % n_posts],
-               [np.full(len(page), ACTION_CODES["post"])], [np.array(stamps, np.int64).reshape(-1)]]
+    columns = [[page], [page], [np.arange(len(page))], [np.full(len(page), ACTION_CODES["post"])],
+               [np.array(stamps, np.int64).reshape(-1)]]  # user, page, post, action, ts
 
     # per-user action streams, numbered in the order users are made
     first_page = (0, config.pages_per_side[0])
@@ -180,8 +180,9 @@ def generate(config: SynthConfig):
             first, n_pool = np.where(cross, other[0], own[0]), np.where(cross, other[1], own[1])
             page = first + (page_u * n_pool).astype(np.int64)  # int(pu * len(pool))
             action = np.where(is_comment, ACTION_CODES["comment"], ACTION_CODES["like"])
-            for column, values in zip(columns, (np.full(n_act, len(pages) + len(user_side) - 1),
-                                                page, page * n_posts + post_idx, action, ts)):
+            code = len(pages) + len(user_side) - 1  # users follow the pages in the user table
+            for column, values in zip(columns, (np.full(n_act, code), page,
+                                                page * n_posts + post_idx, action, ts)):
                 column.append(values)
 
     tables = [pages + list(user_side), pages, posts]

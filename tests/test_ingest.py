@@ -130,7 +130,10 @@ ODD_STRINGS = (rec("u\u00e9\"\\", "p1", "like", "2014-03-01T23:59:59Z"),
                rec("u\n\U0001f600", "p1", "comment", "1999-12-31T00:00:00Z"),
                rec("p1", "p1", "post", "2014-03-01T00:00:00Z"),
                rec("u1", "p2", "like", "1000-01-01T00:00:00Z"),
-               rec("u1", "p2", "like", "9999-12-31T23:59:59Z"))
+               rec("u1", "p2", "like", "9999-12-31T23:59:59Z"),
+               # one ts, where page order and post order disagree
+               rec("u2", "p2", "like", "2014-03-01T00:00:00Z", post="a1"),
+               rec("u2", "p1", "comment", "2014-03-01T00:00:00Z", post="b1"))
 
 
 def test_serialize_matches_json_dumps_per_record():
