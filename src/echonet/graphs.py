@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ACTION_CODES, ENGAGEMENT_ACTIONS, Dataset, csv_text
+from .ingest import ACTION_CODES, ENGAGEMENT_ACTIONS, Dataset, csv_text, distinct
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,12 @@ class BipartiteGraph:
         self.pages: tuple[str, ...] = tuple(pages)
         self.action = action
         index = {p: i for i, p in enumerate(self.pages)}
-        by_user: defaultdict[str, set[int]] = defaultdict(set)
+        # a list per user, not a set: sets doubled the criterion-10 build's peak memory
+        by_user: defaultdict[str, list[int]] = defaultdict(list)
         for u, p in pairs:
-            by_user[u].add(index[p])
+            by_user[u].append(index[p])
         self.users: tuple[str, ...] = tuple(sorted(by_user))
-        self.user_pages = [sorted(by_user[u]) for u in self.users]
-
-    @classmethod
-    def from_incidence(cls, pages, users, user_pages, action: str) -> "BipartiteGraph":
-        """The graph whose fields are given as __init__ would store them."""
-        b = cls.__new__(cls)
-        b.pages, b.users, b.user_pages, b.action = tuple(pages), tuple(users), user_pages, action
-        return b
+        self.user_pages = [sorted(set(by_user[u])) for u in self.users]
 
     @property
     def n_edges(self) -> int:
@@ -108,15 +102,10 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
         raise ValueError(f"action must be like or comment, got {action!r}")
     rows = d.action == ACTION_CODES[action]
     shape = (len(d.user_table), len(d.page_table))
-    user, page = np.unravel_index(np.unique(np.ravel_multi_index(
-        (d.user[rows], d.page[rows]), shape)), shape)  # distinct pairs by user, then page
-    users, starts = np.unique(user, return_index=True)
-    pages = np.unique(d.page)
-    ids = np.searchsorted(pages, page).tolist()
-    bounds = [*starts.tolist(), len(ids)]
-    return BipartiteGraph.from_incidence(
-        d.page_table[pages].tolist(), d.user_table[users].tolist(),
-        [ids[a:b] for a, b in zip(bounds, bounds[1:])], action)
+    user, page = np.unravel_index(distinct(np.ravel_multi_index(
+        (d.user[rows], d.page[rows]), shape)), shape)  # distinct pairs
+    pairs = zip(d.user_table[user].tolist(), d.page_table[page].tolist())
+    return BipartiteGraph(d.page_table[np.unique(d.page)].tolist(), pairs, action)
 
 
 class ProjectionGraph:

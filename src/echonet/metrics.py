@@ -17,7 +17,7 @@ import numpy as np
 
 from .compare import DegenerateDataWarning
 from .graphs import Partition
-from .ingest import ACTION_CODES, Dataset
+from .ingest import ACTION_CODES, Dataset, distinct
 from .timebins import WINDOW_KEYS, day_bins
 
 DEFAULT_MIN_ACTIONS = 10
@@ -77,7 +77,11 @@ def two_largest_sides(p: Partition) -> dict[str, str]:
         raise ValueError("partition has fewer than 2 communities")
     comms = p.communities()
     order = sorted(range(len(comms)), key=lambda c: (-len(comms[c]), min(comms[c])))
-    return {page: name for name, c in zip(("c1", "c2"), order[:2]) for page in comms[c]}
+    sides: dict[str, str] = {}
+    for name, c in zip(("c1", "c2"), order[:2]):
+        for page in comms[c]:
+            sides[page] = name
+    return sides
 
 
 def user_polarization(d: Dataset, sides: dict[str, str], action: str = "like",
@@ -156,9 +160,9 @@ def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str,
     rows = np.flatnonzero(d.action == ACTION_CODES[action])
     windows, bins = day_bins(d.ts[rows], WINDOW_KEYS[window])
     n_users, n_pages = len(d.user_table), len(d.page_table)
-    distinct = np.unique(np.ravel_multi_index((d.user[rows], windows, d.page[rows]),
-                                              (n_users, len(bins), n_pages)))
-    user_windows, counts = np.unique(distinct // n_pages, return_counts=True)
+    keys = distinct(np.ravel_multi_index((d.user[rows], windows, d.page[rows]),
+                                         (n_users, len(bins), n_pages)))
+    user_windows, counts = np.unique(keys // n_pages, return_counts=True)
     users, first = np.unique(user_windows // len(bins), return_index=True)
     return dict(zip(d.user_table[users].tolist(), np.maximum.reduceat(counts, first).tolist()))
 
@@ -168,16 +172,19 @@ def community_page_stats(d: Dataset, sides: dict[str, str],
     """Per community: (mean, sample SD) of distinct pages liked per user."""
     rows, side, names = d.on_sides(action, sides)
     n_users, n_pages = len(d.user_table), len(d.page_table)
-    distinct = np.unique(np.ravel_multi_index((side, d.user[rows], d.page[rows]),
-                                              (len(names), n_users, n_pages)))
-    side_users, pages = np.unique(distinct // n_pages, return_counts=True)
+    keys = distinct(np.ravel_multi_index((side, d.user[rows], d.page[rows]),
+                                         (len(names), n_users, n_pages)))
+    side_users, pages = np.unique(keys // n_pages, return_counts=True)
     side = side_users // n_users
     out: dict[str, tuple[float, float]] = {}
     for s in np.unique(side).tolist():
         counts = pages[side == s].tolist()
         mean = sum(counts) / len(counts)
-        var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1) if len(counts) > 1 else 0.0
-        out[names[s]] = (mean, math.sqrt(var))
+        if len(counts) > 1:
+            sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (len(counts) - 1))
+        else:
+            sd = 0.0
+        out[names[s]] = (mean, sd)
     return out
 
 

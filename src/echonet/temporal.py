@@ -17,7 +17,7 @@ import numpy as np
 from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
 from .graphs import BipartiteGraph, project
-from .ingest import ACTION_CODES, ACTION_TABLE, Dataset
+from .ingest import ACTION_CODES, ACTION_TABLE, Dataset, distinct
 from .timebins import day_bins, quarter_of
 
 MEASURES = (
@@ -83,8 +83,8 @@ def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     cells = np.ravel_multi_index((quarter, side, d.action[rows]), shape)
     active = {}  # "pages" or "users" -> distinct count per (quarter, community, action)
     for entity, table, codes in (("pages", d.page_table, d.page), ("users", d.user_table, d.user)):
-        distinct = np.unique(cells * len(table) + codes[rows]) // max(len(table), 1)
-        active[entity] = np.bincount(distinct, minlength=math.prod(shape)).reshape(shape).tolist()
+        cell_of = distinct(cells * len(table) + codes[rows]) // max(len(table), 1)
+        active[entity] = np.bincount(cell_of, minlength=math.prod(shape)).reshape(shape).tolist()
     measures = [(m, *m.split("_")[1:]) for m in MEASURES]  # (measure, entity, action)
     return [SeriesPoint(q, side, measure, active[entity][i][s][ACTION_CODES[a]])
             for i, q in enumerate(span) for s, side in enumerate(communities)
@@ -110,7 +110,7 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
     span = d.quarter_span()
     quarter, _ = day_bins(d.ts[rows], quarter_of, span)
     shape = (len(communities) * len(span), len(d.user_table), len(d.page_table))
-    group, user, page = np.unravel_index(np.unique(np.ravel_multi_index(
+    group, user, page = np.unravel_index(distinct(np.ravel_multi_index(
         (side * len(span) + quarter, d.user[rows], d.page[rows]), shape)), shape)
     bounds = np.searchsorted(group, np.arange(shape[0] + 1))  # distinct pairs by group
     out: list[CohesionPoint] = []
@@ -120,8 +120,9 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
             pages = d.page_table[np.unique(page[start:stop])].tolist()
             total = len(pages)
             if total < 2:
-                out += [CohesionPoint(q, side, algo, total, total, ("degenerate",))
-                        for algo in algorithms]
+                for algo in algorithms:
+                    out.append(CohesionPoint(q, side, algo, total, total,
+                                             ("degenerate",)))
                 continue
             pairs = zip(d.user_table[user[start:stop]].tolist(),
                         d.page_table[page[start:stop]].tolist())
@@ -130,7 +131,8 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
                 if g.total_weight == 0:
                     largest = 1  # no co-actors: every page is its own community
                 else:
-                    part, _ = ALGORITHMS[algo](g, derived_seed(seed, "cohesion", q, side, algo))
+                    part, _ = ALGORITHMS[algo](
+                        g, derived_seed(seed, "cohesion", q, side, algo))
                     largest = max(part.sizes())
                 out.append(CohesionPoint(q, side, algo, largest, total))
     return out
@@ -164,14 +166,19 @@ def _design(obs, n_values: int):
     if len(a_levels) != 2 or len(b_levels) != 2:
         raise ValueError(f"need exactly 2 levels per factor, got {a_levels} x {b_levels}")
     cells = {(r[0], r[1]) for r in rows}
-    for al, bl in ((al, bl) for al in a_levels for bl in b_levels if (al, bl) not in cells):
-        raise ValueError(f"empty design cell ({al!r}, {bl!r})")
+    for al in a_levels:
+        for bl in b_levels:
+            if (al, bl) not in cells:
+                raise ValueError(f"empty design cell ({al!r}, {bl!r})")
     a = np.array([1.0 if r[0] == a_levels[1] else -1.0 for r in rows])
     b = np.array([1.0 if r[1] == b_levels[1] else -1.0 for r in rows])
-    vals = [(float(r[2]),) if np.isscalar(r[2]) else tuple(map(float, r[2])) for r in rows]
-    for v in vals:
+    vals = []
+    for r in rows:
+        v = r[2]
+        v = (float(v),) if np.isscalar(v) else tuple(float(c) for c in v)
         if len(v) != n_values:
             raise ValueError(f"expected {n_values} dependent values, got {len(v)}")
+        vals.append(v)
     one = np.ones(len(rows))
     return (np.column_stack([one, a, b, a * b]), np.column_stack([one, a, b]),
             np.column_stack([one, b]), np.column_stack([one, a]), np.array(vals))
@@ -247,7 +254,8 @@ def manova_pillai(obs) -> AnovaResult:
     E = _rss_matrix(full, Y)
     H = _rss_matrix(additive, Y) - E
 
-    if float(np.abs(Y - Y.mean(axis=0)).max()) == 0.0:
+    total = Y - Y.mean(axis=0)
+    if float(np.abs(total).max()) == 0.0:
         warnings.warn("constant responses; Pillai trace is 0", DegenerateDataWarning)
         df2 = df_error - p + 1
         return AnovaResult("interaction", 0.0, p, df2, 1.0, 0.0, 0.0, ("degenerate",))

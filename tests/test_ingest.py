@@ -6,6 +6,7 @@ import tracemalloc
 from datetime import date, datetime, timezone
 from functools import partial
 
+import numpy as np
 import pytest
 
 from echonet import ingest, timebins
@@ -733,6 +734,14 @@ def test_an_empty_stream_codes_to_empty_columns():
     for d in (parse_records(""), parse_records("", format="csv"), Dataset([])):
         assert_codes_records(d, [])
         assert all(len(t) == 0 for t in d.tables) and all(len(c) == 0 for c in d.columns)
+
+
+def test_distinct_is_np_unique():
+    rng = np.random.default_rng(5)
+    for keys in (np.zeros(0, np.int64), np.array([3]), rng.integers(0, 50, 1000),
+                 rng.integers(-10**12, 10**12, 5000), np.arange(7, dtype=np.int32)[::-1]):
+        got = ingest.distinct(keys)
+        assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
 
 
 def test_a_parsed_dataset_keeps_a_few_bytes_per_record(tmp_path):
