@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ACTION_CODES, ENGAGEMENT_ACTIONS, Dataset, csv_text, distinct
+from .ingest import ACTION_CODES, ENGAGEMENT_ACTIONS, Dataset, csv_text, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
         raise ValueError(f"action must be like or comment, got {action!r}")
     rows = d.action == ACTION_CODES[action]
     shape = (len(d.user_table), len(d.page_table))
-    user, page = np.unravel_index(distinct(np.ravel_multi_index(
-        (d.user[rows], d.page[rows]), shape)), shape)  # distinct pairs
+    user, page = distinct_rows((d.user[rows], d.page[rows]), shape)
     pairs = zip(d.user_table[user].tolist(), d.page_table[page].tolist())
     return BipartiteGraph(d.page_table[np.unique(d.page)].tolist(), pairs, action)
 

@@ -18,20 +18,19 @@ from datetime import date
 from functools import cached_property, partial
 from itertools import count, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_not
 from typing import NamedTuple
 
 import numpy as np
 
 from .timebins import (
-    canonical_seconds,
     day_end,
     day_start,
+    format_timestamps,
     parse_date,
     parse_timestamp,
     quarter_of,
     quarter_range,
-    timestamp_formatter,
+    read_timestamps,
 )
 
 ACTIONS = ("post", "like", "comment")
@@ -160,14 +159,14 @@ def sort_codes(tables, columns) -> tuple:
     return sorted_tables, (*recoded, action, ts)
 
 
-def distinct(keys) -> np.ndarray:
-    """The sorted distinct values of the 1-d ``keys``, what ``np.unique(keys)`` gives.
-
-    One sort and one mask: numpy 2.4's ``np.unique`` without return_* arguments
-    hashes, and took 0.33 s for 480,000 int64 keys that this takes 0.006 s for.
+def distinct_rows(columns, sizes) -> tuple[np.ndarray, ...]:
+    """The sorted distinct rows of the int ``columns``, each value below its
+    size in ``sizes``, one array per column: ``np.unique(np.stack(columns, 1),
+    axis=0)``. Rows are packed into keys for one sort and a mask, as numpy
+    2.4's plain ``np.unique`` hashes and was 20-55x slower on such keys.
     """
-    ordered = np.sort(keys)
-    return ordered[np.r_[True, ordered[1:] != ordered[:-1]]] if len(ordered) else ordered
+    keys = np.sort(np.ravel_multi_index(columns, sizes))
+    return np.unravel_index(keys[np.diff(keys, prepend=-1) != 0], sizes)
 
 
 def _record_from_obj(obj, line_no: int) -> InteractionRecord:
@@ -194,13 +193,13 @@ def _make_record(user, page, post, action, ts, line_no: int) -> InteractionRecor
     return InteractionRecord(user, page, post, action, epoch)
 
 
-# A JSONL line as serialize_records writes it, its ts split into day, hour, minute
-# and second, or else any other line (no groups). Its strings are printable ASCII
-# other than the quote and the backslash, so json.loads reads them the same.
+# A JSONL line as serialize_records writes it, its ts captured without the Z, or
+# else any other line (no groups). Its strings are printable ASCII other than
+# the quote and the backslash, so json.loads reads them the same.
 _LINE = re.compile(
     r'^(?:\{"user":"([ !#-\[\]-~]+)","page":"([ !#-\[\]-~]+)","post":"([ !#-\[\]-~]+)",'
-    r'"action":"(post|like|comment)","ts":"([0-9]{4}-[0-9]{2}-[0-9]{2})T([0-9]{2}):'
-    r'([0-9]{2}):([0-9]{2})Z"\}|.*)$', re.M)
+    r'"action":"(post|like|comment)","ts":"([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:'
+    r'[0-9]{2}:[0-9]{2})Z"\}|.*)$', re.M)
 # Characters read per JSONL block. A block's findall rows take about seven
 # times its text, so a larger block raises peak memory and gains no speed.
 BLOCK_CHARS = 1 << 16
@@ -230,10 +229,11 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
 
     JSONL is read in blocks of whole lines, one ``stream.readlines(BLOCK_CHARS)``
     (lines until they pass BLOCK_CHARS characters) each, and one
-    ``_LINE.findall`` per block reads its canonical lines in bulk. Any other
-    line, or one whose timestamp canonical_seconds rejects, goes with its line
-    number to the per-line path (``_parse_jsonl_lines``), the only source of
-    ParseError messages and skip counts.
+    ``_LINE.findall`` and one read_timestamps per block read its canonical lines
+    in bulk. Any other line, and every line of a block whose timestamps numpy
+    refuses, goes with its line number to the per-line path
+    (``_parse_jsonl_lines``), the only source of ParseError messages and skip
+    counts.
     """
     if isinstance(stream, (str, bytes)):
         if isinstance(stream, bytes):
@@ -274,14 +274,15 @@ def _scan_block(block: str, line_no: int, strict: bool, columns: _Columns):
     """Add the records of a block of whole lines from ``line_no`` on to
     ``columns``; return the next line's number and the lines skipped."""
     rows = _LINE.findall(block, 0, len(block) - block.endswith("\n"))
-    *fields, days, hours, minutes, seconds = zip(*rows)
-    stamps = list(map(canonical_seconds, days, hours, minutes, seconds))
-    lines = block.split("\n") if None in stamps else ()
+    *fields, stamps = zip(*rows)
+    ts, read = read_timestamps(stamps)
+    ts, read = ts.tolist(), read.tolist()
+    lines = () if all(read) else block.split("\n")
     skipped = start = 0
-    for read, run in groupby(stamps, partial(is_not, None)):  # runs of lines read or not
+    for is_read, run in groupby(read):  # runs of lines read or not
         stop = start + len(list(run))
-        if read:
-            columns.extend(*(f[start:stop] for f in fields), stamps[start:stop])
+        if is_read:
+            columns.extend(*(f[start:stop] for f in fields), ts[start:stop])
         else:
             records: list[InteractionRecord] = []
             skipped += _parse_jsonl_lines(lines[start:stop], line_no + start, strict, records)
@@ -367,14 +368,14 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
 
     Parsing the output and re-serializing reproduces it byte for byte. A JSONL
     line is ``json.dumps`` of the record's fields in that order with
-    ``separators=(",", ":")`` and the timestamp from format_timestamp; it is
-    built from each distinct string escaped once and each distinct UTC day
-    formatted once.
+    ``separators=(",", ":")`` and the timestamp from format_timestamps; it is
+    built from each distinct string escaped once. Raises ValueError for a
+    timestamp outside the years 1000-9999.
     """
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
     d = d.take(_canonical(d))
-    stamps = map(timestamp_formatter(), d.ts.tolist())
+    stamps = format_timestamps(d.ts)
     tables = (*d.tables, ACTION_TABLE)
     if format == "csv":
         strings = [t[c].tolist() for t, c in zip(tables, d.columns)]
@@ -459,15 +460,14 @@ def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
 
     _, label, names = d.on_sides(None, label_of)  # every record and its label
     n = len(names)
-    n_users = max(len(d.user_table), 1)
     engaged = d.action != POST
     cells = label * 3 + d.action  # (label, action code) of each record
     records = np.bincount(cells, minlength=3 * n).tolist()
     # distinct (label, action, user) and (label, user), counted per cell and per label
-    actor_keys = distinct(cells[engaged] * n_users + d.user[engaged])
-    actors = np.bincount(actor_keys // n_users, minlength=3 * n).tolist()
-    user_keys = distinct(label[engaged] * n_users + d.user[engaged])
-    users = np.bincount(user_keys // n_users, minlength=n).tolist()
+    actor_cells, _ = distinct_rows((cells[engaged], d.user[engaged]), (3 * n, len(d.user_table)))
+    actors = np.bincount(actor_cells, minlength=3 * n).tolist()
+    user_labels, _ = distinct_rows((label[engaged], d.user[engaged]), (n, len(d.user_table)))
+    users = np.bincount(user_labels, minlength=n).tolist()
     for i, row in enumerate(map(rows.get, names)):
         row.comments, row.likes, row.posts = records[3 * i:3 * i + 3]
         row.commenters, row.likers = actors[3 * i:3 * i + 2]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .compare import DegenerateDataWarning
 from .graphs import Partition
-from .ingest import ACTION_CODES, Dataset, distinct
+from .ingest import ACTION_CODES, Dataset, distinct_rows
 from .timebins import WINDOW_KEYS, day_bins
 
 DEFAULT_MIN_ACTIONS = 10
@@ -160,9 +160,9 @@ def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str,
     rows = np.flatnonzero(d.action == ACTION_CODES[action])
     windows, bins = day_bins(d.ts[rows], WINDOW_KEYS[window])
     n_users, n_pages = len(d.user_table), len(d.page_table)
-    keys = distinct(np.ravel_multi_index((d.user[rows], windows, d.page[rows]),
-                                         (n_users, len(bins), n_pages)))
-    user_windows, counts = np.unique(keys // n_pages, return_counts=True)
+    user, window, _ = distinct_rows((d.user[rows], windows, d.page[rows]),
+                                    (n_users, len(bins), n_pages))
+    user_windows, counts = np.unique(user * len(bins) + window, return_counts=True)
     users, first = np.unique(user_windows // len(bins), return_index=True)
     return dict(zip(d.user_table[users].tolist(), np.maximum.reduceat(counts, first).tolist()))
 
@@ -172,9 +172,9 @@ def community_page_stats(d: Dataset, sides: dict[str, str],
     """Per community: (mean, sample SD) of distinct pages liked per user."""
     rows, side, names = d.on_sides(action, sides)
     n_users, n_pages = len(d.user_table), len(d.page_table)
-    keys = distinct(np.ravel_multi_index((side, d.user[rows], d.page[rows]),
-                                         (len(names), n_users, n_pages)))
-    side_users, pages = np.unique(keys // n_pages, return_counts=True)
+    side, user, _ = distinct_rows((side, d.user[rows], d.page[rows]),
+                                  (len(names), n_users, n_pages))
+    side_users, pages = np.unique(side * n_users + user, return_counts=True)
     side = side_users // n_users
     out: dict[str, tuple[float, float]] = {}
     for s in np.unique(side).tolist():

@@ -144,8 +144,9 @@ def generate(config: SynthConfig):
     # page posts, one Philox stream per page
     stamps = [_entity_rng(config.seed, _PAGE_STREAM + i).integers(
         t0, t1 + 1, size=config.posts_per_page) for i in range(len(pages))]
-    page = np.repeat(np.arange(len(pages)), config.posts_per_page)
-    columns = [[page], [page], [np.arange(len(page))], [np.full(len(page), ACTION_CODES["post"])],
+    page = np.repeat(np.arange(len(pages), dtype=np.int32), config.posts_per_page)
+    columns = [[page], [page], [np.arange(len(page), dtype=np.int32)],
+               [np.full(len(page), ACTION_CODES["post"], np.int8)],
                [np.array(stamps, np.int64).reshape(-1)]]  # user, page, post, action, ts
 
     # per-user action streams, numbered in the order users are made
@@ -181,9 +182,11 @@ def generate(config: SynthConfig):
             page = first + (page_u * n_pool).astype(np.int64)  # int(pu * len(pool))
             action = np.where(is_comment, ACTION_CODES["comment"], ACTION_CODES["like"])
             code = len(pages) + len(user_side) - 1  # users follow the pages in the user table
+            # narrowed to the post columns' dtypes: each user's arrays are kept until
+            # one concatenation per column
             for column, values in zip(columns, (np.full(n_act, code), page,
                                                 page * n_posts + post_idx, action, ts)):
-                column.append(values)
+                column.append(values.astype(column[0].dtype, copy=False))
 
     tables = [pages + list(user_side), pages, posts]
     labels = dict(page_side)

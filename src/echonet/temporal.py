@@ -17,7 +17,7 @@ import numpy as np
 from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
 from .graphs import BipartiteGraph, project
-from .ingest import ACTION_CODES, ACTION_TABLE, Dataset, distinct
+from .ingest import ACTION_CODES, ACTION_TABLE, Dataset, distinct_rows
 from .timebins import day_bins, quarter_of
 
 MEASURES = (
@@ -83,7 +83,7 @@ def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     cells = np.ravel_multi_index((quarter, side, d.action[rows]), shape)
     active = {}  # "pages" or "users" -> distinct count per (quarter, community, action)
     for entity, table, codes in (("pages", d.page_table, d.page), ("users", d.user_table, d.user)):
-        cell_of = distinct(cells * len(table) + codes[rows]) // max(len(table), 1)
+        cell_of, _ = distinct_rows((cells, codes[rows]), (math.prod(shape), len(table)))
         active[entity] = np.bincount(cell_of, minlength=math.prod(shape)).reshape(shape).tolist()
     measures = [(m, *m.split("_")[1:]) for m in MEASURES]  # (measure, entity, action)
     return [SeriesPoint(q, side, measure, active[entity][i][s][ACTION_CODES[a]])
@@ -110,8 +110,8 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
     span = d.quarter_span()
     quarter, _ = day_bins(d.ts[rows], quarter_of, span)
     shape = (len(communities) * len(span), len(d.user_table), len(d.page_table))
-    group, user, page = np.unravel_index(distinct(np.ravel_multi_index(
-        (side * len(span) + quarter, d.user[rows], d.page[rows]), shape)), shape)
+    group, user, page = distinct_rows(
+        (side * len(span) + quarter, d.user[rows], d.page[rows]), shape)
     bounds = np.searchsorted(group, np.arange(shape[0] + 1))  # distinct pairs by group
     out: list[CohesionPoint] = []
     for i, q in enumerate(span):

@@ -10,59 +10,35 @@ from __future__ import annotations
 
 import re
 from datetime import date, datetime, timezone
-from functools import lru_cache
 
 import numpy as np
 
 _ISO_Z = re.compile(r"Z$")
-_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 SECONDS_PER_DAY = 86400
 _EPOCH_DAY = date(1970, 1, 1).toordinal()
-
-# Seconds of the "HH", "MM" and "SS" fields of a canonical timestamp.
-_HOURS = {f"{h:02d}": 3600 * h for h in range(24)}
-_MINUTES = {f"{m:02d}": 60 * m for m in range(60)}
-_SECONDS = {f"{s:02d}": s for s in range(60)}
-# "HH:MM:" of each minute of the day and "SSZ" of each second of the minute.
-_HH_MM = [f"{h}:{m}:" for h in _HOURS for m in _MINUTES]
-_SS_Z = [f"{s}Z" for s in _SECONDS]
 
 
 def parse_timestamp(value) -> int:
     """Parse an ISO-8601 UTC instant or integer epoch seconds to epoch seconds.
 
     Raises ValueError for malformed values and for instants outside the
-    years 1000-9999. The canonical form ``YYYY-MM-DDTHH:MM:SSZ`` is read
-    from its fields (canonical_seconds); any other goes through ``_epoch_seconds``.
+    years 1000-9999. Canonical timestamps in bulk go through read_timestamps.
     """
-    ts = None  # value[10::3] is the canonical form's "T::Z"
-    if type(value) is str and len(value) == 20 and value[10::3] == "T::Z":
-        ts = canonical_seconds(value[:10], value[11:13], value[14:16], value[17:19])
-    if ts is None:
-        ts = _epoch_seconds(value)
-        if not MIN_TS <= ts <= MAX_TS:
-            raise ValueError(f"timestamp outside the years 1000-9999: {value!r}")
+    ts = _epoch_seconds(value)
+    if not MIN_TS <= ts <= MAX_TS:
+        raise ValueError(f"timestamp outside the years 1000-9999: {value!r}")
     return ts
 
 
-def canonical_seconds(day: str, hh: str, mm: str, ss: str) -> int | None:
-    """Epoch seconds of the canonical timestamp ``{day}T{hh}:{mm}:{ss}Z`` read
-    from its fields, or None where parse_timestamp rejects it."""
+def read_timestamps(stamps) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds (int64) of canonical timestamps without their Z, and a mask
+    of those parse_timestamp would accept; none is read if numpy refuses one."""
     try:
-        ts = _day_seconds(day) + _HOURS[hh] + _MINUTES[mm] + _SECONDS[ss]
-    except (KeyError, TypeError):  # a field out of range, or no such day
-        return None
-    return ts if MIN_TS <= ts <= MAX_TS else None
-
-
-@lru_cache(maxsize=1 << 16)
-def _day_seconds(day: str) -> int | None:
-    """Epoch of midnight UTC of a ``YYYY-MM-DD`` day, or None if it is not one."""
-    try:
-        return day_start(date.fromisoformat(day)) if _DAY.fullmatch(day) else None
-    except ValueError:
-        return None
+        ts = np.array(stamps, "M8[s]").astype(np.int64)
+    except ValueError:  # such as 2010-02-30 or an hour of 24
+        return np.zeros(len(stamps), np.int64), np.zeros(len(stamps), bool)
+    return ts, (ts >= MIN_TS) & (ts <= MAX_TS)  # "" reads as NaT, below MIN_TS
 
 
 def _epoch_seconds(value) -> int:
@@ -92,24 +68,19 @@ def _epoch_seconds(value) -> int:
     raise ValueError(f"not a timestamp: {value!r}")
 
 
-def timestamp_formatter():
-    """format_timestamp, building each UTC day's ``YYYY-MM-DDT`` once per formatter
-    (not once per module, so no serialization leaves its days in memory)."""
-    days: dict[int, str] = {}
-
-    def stamp(ts: int) -> str:
-        day, second = divmod(ts, SECONDS_PER_DAY)
-        prefix = days.get(day)
-        if prefix is None:
-            prefix = days[day] = date.fromordinal(day + _EPOCH_DAY).isoformat() + "T"
-        return prefix + _HH_MM[second // 60] + _SS_Z[second % 60]
-
-    return stamp
+def format_timestamps(ts) -> list[str]:
+    """Canonical ISO-8601 form of each instant, always UTC with Z suffix;
+    ValueError for one outside the years 1000-9999, which no parse reads back."""
+    ts = np.asarray(ts, np.int64)
+    outside = ts[(ts < MIN_TS) | (ts > MAX_TS)]
+    if len(outside):
+        raise ValueError(f"timestamp outside the years 1000-9999: {outside[0]}")
+    return [stamp + "Z" for stamp in np.datetime_as_string(ts.astype("M8[s]")).tolist()]
 
 
 def format_timestamp(ts: int) -> str:
     """Canonical ISO-8601 form, always UTC with Z suffix."""
-    return timestamp_formatter()(ts)
+    return format_timestamps([ts])[0]
 
 
 def parse_date(value) -> date:
@@ -129,7 +100,7 @@ def day_end(d: date) -> int:
     return day_start(d) + SECONDS_PER_DAY - 1
 
 
-# Years 1000-9999: the instants whose canonical form format_timestamp writes
+# Years 1000-9999: the instants whose canonical form format_timestamps writes
 # and parse_timestamp reads back.
 MIN_TS = day_start(date(1000, 1, 1))
 MAX_TS = day_end(date(9999, 12, 31))

@@ -26,13 +26,14 @@ from echonet.synth import SynthConfig, generate
 from echonet.timebins import (
     MAX_TS,
     MIN_TS,
-    canonical_seconds,
     day_start,
     format_timestamp,
+    format_timestamps,
     iso_week_of,
     month_of,
     parse_timestamp,
     quarter_of,
+    read_timestamps,
     year_of,
 )
 
@@ -135,6 +136,18 @@ ODD_STRINGS = (rec("u\u00e9\"\\", "p1", "like", "2014-03-01T23:59:59Z"),
                # one ts, where page order and post order disagree
                rec("u2", "p2", "like", "2014-03-01T00:00:00Z", post="a1"),
                rec("u2", "p1", "comment", "2014-03-01T00:00:00Z", post="b1"))
+
+
+@pytest.mark.parametrize("ts", [YEAR_999, MIN_TS - 1, MAX_TS + 1])
+def test_an_instant_outside_the_years_1000_9999_is_not_written(ts):
+    """No line is written that parse_records would refuse to read back."""
+    refused = f"^timestamp outside the years 1000-9999: {ts}$"
+    d = Dataset([InteractionRecord("u1", "p1", "x1", "like", ts)])
+    for format in ("jsonl", "csv"):
+        with pytest.raises(ValueError, match=refused):
+            serialize_records(d, format)
+    with pytest.raises(ValueError, match=refused):
+        format_timestamps([MIN_TS, ts, MAX_TS])
 
 
 def test_serialize_matches_json_dumps_per_record():
@@ -514,7 +527,10 @@ def test_mutation_oracle_matches_per_line(seed):
 
 @pytest.mark.parametrize("ts", TIMESTAMPS)
 def test_every_timestamp_form_matches_per_line(ts):
-    assert_same_as_per_line(json.dumps({**json.loads(ONE_LINE), "ts": ts}) + "\n")
+    """Each form on a compact line between canonical lines: a stamp of the
+    canonical shape that numpy refuses sends all three to the per-line path."""
+    line = json.dumps({**json.loads(ONE_LINE), "ts": ts}, separators=(",", ":"))
+    assert_same_as_per_line("\n".join([ONE_LINE, line, ONE_LINE]) + "\n")
 
 
 def outcome(parse, value):
@@ -541,17 +557,28 @@ def test_timestamp_oracle():
               for _ in range(100_000)]
     for value in TIMESTAMPS + shaped:
         assert outcome(parse_timestamp, value) == outcome(reference_parse, value), value
-    assert sum(isinstance(outcome(parse_timestamp, v), int) for v in shaped) > 40_000
-    for value in shaped:  # the block scan's per-field reader: the same value, or None
-        expected = outcome(parse_timestamp, value)
-        assert canonical_seconds(value[:10], value[11:13], value[14:16], value[17:19]) == (
-            expected if isinstance(expected, int) else None), value
+    expected = [outcome(parse_timestamp, v) for v in shaped]
+    assert sum(isinstance(e, int) for e in expected) > 40_000
+
+    def read(values):  # the block scan's array reader: each value, or None if unread
+        ts, read = read_timestamps([v.removesuffix("Z") for v in values])
+        return [t if r else None for t, r in zip(ts.tolist(), read.tolist())]
+
+    for value, want in zip(shaped, expected):
+        assert read([value]) == [want if isinstance(want, int) else None], value
+    # one call over the values that name a date and time, which numpy reads
+    # whole: only those with years below 1000 go unread
+    kept = [(v, e) for v, e in zip(shaped, expected)
+            if not (isinstance(e, str) and e.startswith("unparseable"))]
+    assert read([v for v, _ in kept]) == [e if isinstance(e, int) else None for _, e in kept]
+    assert sum(isinstance(e, str) for _, e in kept) > 1_000
 
     week_53 = [date(2015, 12, 28), date(2016, 1, 3), date(2020, 12, 31), date(2021, 1, 3),
                date(1001, 12, 28), date(9998, 12, 31)]
     instants = [MIN_TS, MAX_TS, -1, 0] + [day_start(d) + s for d in week_53
                                           for s in (0, 86399)]
     instants += [rng.randint(MIN_TS, MAX_TS) for _ in range(20_000)]
+    assert format_timestamps(instants) == list(map(format_timestamp, instants))
     for ts in instants:
         dt = datetime.fromtimestamp(ts, tz=timezone.utc)
         assert format_timestamp(ts) == dt.strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -736,24 +763,29 @@ def test_an_empty_stream_codes_to_empty_columns():
         assert all(len(t) == 0 for t in d.tables) and all(len(c) == 0 for c in d.columns)
 
 
-def test_distinct_is_np_unique():
+def test_distinct_rows_are_the_rows_of_np_unique():
+    """Sizes of zero, and sizes whose product (about 4.9e9) exceeds 2**31."""
     rng = np.random.default_rng(5)
-    for keys in (np.zeros(0, np.int64), np.array([3]), rng.integers(0, 50, 1000),
-                 rng.integers(-10**12, 10**12, 5000), np.arange(7, dtype=np.int32)[::-1]):
-        got = ingest.distinct(keys)
-        assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
+    wide = rng.integers(0, 70_000, (2, 3000))
+    cases = [((np.zeros(0, np.int32),), (0,)),
+             ((np.zeros(0, np.int64), np.zeros(0, np.int32)), (3, 0)),
+             ((np.array([3]),), (4,)),
+             (tuple(rng.integers(0, (5, 7, 3), (1000, 3)).T), (5, 7, 3)),
+             (tuple(np.concatenate([wide, wide[:, :500]], axis=1)), (70_000, 70_000)),
+             ((np.arange(7, dtype=np.int32)[::-1], np.zeros(7, np.int8)), (7, 1))]
+    for columns, sizes in cases:
+        rows = ingest.distinct_rows(columns, sizes)
+        assert len(rows) == len(columns)
+        assert np.array_equal(np.stack(rows, 1), np.unique(np.stack(columns, 1), axis=0))
 
 
 def test_a_parsed_dataset_keeps_a_few_bytes_per_record(tmp_path):
     """Columns of 21 bytes a record and tables of distinct strings; a tuple of
-    records, about 150 bytes a record, exceeds the bound. The timestamp
-    reader's cache of days is filled first, so only the Dataset counts."""
+    records, about 150 bytes a record, exceeds the bound."""
     cfg = SynthConfig(users_per_side=(600, 600), pages_per_side=(12, 8),
                       actions_per_user=("fixed", 20), posts_per_page=10, seed=4)
     path = tmp_path / "d.jsonl"
     path.write_text(serialize_records(generate(cfg)[0]), encoding="utf-8")
-    with open(path, encoding="utf-8") as fh:
-        parse_records(fh)
     tracemalloc.start()
     try:
         with open(path, encoding="utf-8") as fh:

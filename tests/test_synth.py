@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 
@@ -64,6 +65,22 @@ def test_exact_record_count():
     posts = sum(cfg.pages_per_side) * cfg.posts_per_page
     actions = sum(cfg.users_per_side) * cfg.actions_per_user[1]
     assert len(d) == posts + actions
+
+
+def test_generate_holds_narrow_columns_while_it_draws():
+    """Peak memory of generate, above the Dataset it returns, is each user's
+    arrays (int32 codes, an int8 action and an int64 ts: 21 bytes a record)
+    and their concatenation (21 more); int64 codes and actions take 40 each."""
+    generate(small_config())
+    cfg = SynthConfig(users_per_side=(400, 400), actions_per_user=("fixed", 60), seed=7)
+    tracemalloc.start()
+    try:
+        d = generate(cfg)[0]
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(d) == 60_150
+    assert peak - current <= 64 * len(d)
 
 
 def test_timestamps_within_range():
