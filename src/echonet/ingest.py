@@ -165,8 +165,11 @@ def distinct_rows(columns, sizes) -> tuple[np.ndarray, ...]:
     axis=0)``. Rows are packed into keys for one sort and a mask, as numpy
     2.4's plain ``np.unique`` hashes and was 20-55x slower on such keys.
     """
-    keys = np.sort(np.ravel_multi_index(columns, sizes))
-    return np.unravel_index(keys[np.diff(keys, prepend=-1) != 0], sizes)
+    keys = np.ravel_multi_index(columns, sizes)
+    keys.sort()
+    first = np.ones(len(keys), bool)  # run starts; np.diff would make two int64 copies
+    first[1:] = keys[1:] != keys[:-1]
+    return np.unravel_index(keys[first], sizes)
 
 
 def _record_from_obj(obj, line_no: int) -> InteractionRecord:
