@@ -561,8 +561,8 @@ def test_timestamp_oracle():
     assert sum(isinstance(e, int) for e in expected) > 40_000
 
     def read(values):  # the block scan's array reader: each value, or None if unread
-        ts, read = read_timestamps([v.removesuffix("Z") for v in values])
-        return [t if r else None for t, r in zip(ts.tolist(), read.tolist())]
+        ts, mask = read_timestamps([v.removesuffix("Z") for v in values])
+        return [t if r else None for t, r in zip(ts.tolist(), mask.tolist())]
 
     for value, want in zip(shaped, expected):
         assert read([value]) == [want if isinstance(want, int) else None], value
