@@ -247,39 +247,48 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
     action kind and added to every algorithm's sum as it is drawn.
     """
     check_count("draws", draws, 1)
-    k = max(len(set(labels.values())), 2)
     result: dict[str, dict[str, dict[str, float]]] = {}
     for kind in ENGAGEMENT_ACTIONS:
-        b = build_bipartite(d, kind)
-        if b.n_edges == 0:
+        table = _validation_table(d, kind, labels, seed, draws)
+        if table is None:
             warnings.warn(f"no {kind} records; sub-table omitted")
-            continue
-        g = project(b)
-        parts = {algo: ALGORITHMS[algo](g, derived_seed(seed, "validate", kind, algo))[0]
-                 for algo in ALGORITHMS}
-        labeled_nodes = [n for n in g.nodes if n in labels]
-        if len(labeled_nodes) < 2:
-            raise ValueError("need at least 2 labeled pages")
-        if len(labeled_nodes) < len(g.nodes):
-            warnings.warn(f"{len(g.nodes) - len(labeled_nodes)} pages unlabeled; "
-                          "labeled row restricted to labeled pages")
-        labeled = Partition.from_mapping(labels, labeled_nodes)
-
-        sums = dict.fromkeys(parts, 0.0)
-        for i in range(draws):
-            rp = random_partition(g.nodes, k,
-                                  derived_seed(seed, "validate", kind, "random", i))
-            for algo, part in parts.items():
-                sums[algo] += rand_index(rp, part)
-        table: dict[str, dict[str, float]] = {"random": {}, "labeled": {},
-                                              "fastgreedy": {}}
-        for algo, part in parts.items():
-            table["random"][algo] = sums[algo] / draws
-            table["labeled"][algo] = rand_index(  # each partition on the labeled pages
-                labeled, Partition.from_mapping(part.as_dict(), labeled_nodes))
-            table["fastgreedy"][algo] = rand_index(parts["fastgreedy"], part)
-        result[kind + "s"] = table
+        else:
+            result[kind + "s"] = table
     return result
+
+
+def _validation_table(d: Dataset, kind: str, labels: dict[str, str], seed: int,
+                      draws: int) -> dict[str, dict[str, float]] | None:
+    """One action kind's sub-table, or None if the kind has no records. Its
+    graphs and partitions are released on return, before the next kind's."""
+    b = build_bipartite(d, kind)
+    if b.n_edges == 0:
+        return None
+    g = project(b)
+    del b
+    parts = {algo: ALGORITHMS[algo](g, derived_seed(seed, "validate", kind, algo))[0]
+             for algo in ALGORITHMS}
+    labeled_nodes = [n for n in g.nodes if n in labels]
+    if len(labeled_nodes) < 2:
+        raise ValueError("need at least 2 labeled pages")
+    if len(labeled_nodes) < len(g.nodes):
+        warnings.warn(f"{len(g.nodes) - len(labeled_nodes)} pages unlabeled; "
+                      "labeled row restricted to labeled pages")
+    labeled = Partition.from_mapping(labels, labeled_nodes)
+
+    k = max(len(set(labels.values())), 2)
+    sums = dict.fromkeys(parts, 0.0)
+    for i in range(draws):
+        rp = random_partition(g.nodes, k, derived_seed(seed, "validate", kind, "random", i))
+        for algo, part in parts.items():
+            sums[algo] += rand_index(rp, part)
+    table: dict[str, dict[str, float]] = {"random": {}, "labeled": {}, "fastgreedy": {}}
+    for algo, part in parts.items():
+        table["random"][algo] = sums[algo] / draws
+        table["labeled"][algo] = rand_index(  # each partition on the labeled pages
+            labeled, Partition.from_mapping(part.as_dict(), labeled_nodes))
+        table["fastgreedy"][algo] = rand_index(parts["fastgreedy"], part)
+    return table
 
 
 def validation_matrix_csv(matrix: dict) -> str:

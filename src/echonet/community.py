@@ -72,9 +72,12 @@ class _Agglomeration:
 
     Slot s holds the live community whose min page id ranks s-th; a merge
     keeps the lower of its two slots, so slot order stays min-page-id order.
-    Two n×n float64 arrays: ``B`` holds the integer weights between live
-    communities (exact below 2**53) and ``S`` their scores, ``inf`` where two
-    are not adjacent. Each row keeps its best ``(score, partner)``.
+    Two n×n arrays: ``B`` holds the integer weights between live communities
+    and ``S`` their float64 scores, ``inf`` where two are not adjacent. No
+    weight between two communities passes the graph's total, so ``B`` is
+    int32 while the total is below 2**31 and int64 above; each read of it is
+    float64 arithmetic on exact integers. Each row keeps its best
+    ``(score, partner)``.
     """
 
     def __init__(self, g: ProjectionGraph):
@@ -85,13 +88,13 @@ class _Agglomeration:
         slot = np.empty(n, dtype=np.intp)
         slot[self.node] = np.arange(n)
         self.rows = max(1, (1 << 16) // n)  # rows per block: no temporary passes 512 KB
-        self.B = np.zeros((n, n))
+        self.B = np.zeros((n, n), np.int32 if g.total_weight < 2**31 else np.int64)
         for k in range(0, n, self.rows):
             nbs = [g.adj[v] for v in self.node[k:k + self.rows]]
             deg = [len(nb) for nb in nbs]
             cols = slot[np.fromiter(chain.from_iterable(nbs), np.intp, sum(deg))]
             self.B[np.repeat(np.arange(k, k + len(nbs)), deg), cols] = np.fromiter(
-                chain.from_iterable(nb.values() for nb in nbs), float, sum(deg))
+                chain.from_iterable(nb.values() for nb in nbs), self.B.dtype, sum(deg))
         self.S = np.full((n, n), np.inf)  # the detector scores each adjacent pair
         self.size = np.ones(n)
         self.strength = np.array(g.strengths, dtype=float)[self.node]
@@ -128,13 +131,13 @@ class _Agglomeration:
                 best_q, best_step = q, len(self.merges)
             ids[ra] = n + len(self.merges) - 1
             w = B[ra] + B[rb]
-            w[ra] = w[rb] = 0.0
+            w[ra] = w[rb] = 0
             cs = w.nonzero()[0]
             wc = w[cs]
             sc = rescore(ra, rb, cs, wc, s_ab)
             size[ra], strength[ra] = size[ra] + size[rb], strength[ra] + strength[rb]
             # slot rb is dead: its row is never read again, its column is cleared
-            B[ra], B[cs, ra], B[cs, rb] = w, wc, 0.0
+            B[ra], B[cs, ra], B[cs, rb] = w, wc, 0
             S[ra, cs], S[cs, ra], S[cs, rb], S[ra, rb] = sc, sc, np.inf, np.inf
             # a row keeps its best or takes the new pair, unless its best was a or b
             obs, obp = bs[cs], bp[cs]
@@ -185,8 +188,9 @@ def fastgreedy(g: ProjectionGraph) -> tuple[Partition, Dendrogram]:
     other page id); the returned partition is the dendrogram cut with maximum
     modularity. Communities in different components are never merged.
 
-    Memory is dense: two n×n float64 arrays (8·n² bytes each; 50 MB per
-    array at 2,500 pages, 800 MB at 10,000).
+    Memory is dense: an n×n float64 array of scores and an n×n int32 array
+    of weights (int64 once the total weight reaches 2**31), 12·n² bytes in
+    all: 75 MB at 2,500 pages, 1.2 GB at 10,000.
     """
     _require_weight(g)
     agg = _Agglomeration(g)
@@ -272,6 +276,40 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
     return Partition.from_labels(g.nodes, assignment)
 
 
+def _transition_matrix(g: ProjectionGraph, s: np.ndarray) -> np.ndarray:
+    """The random walk's n×n transition matrix, w_ij / s_i; an isolated node
+    (strength 0 in ``s``) steps to itself."""
+    W = np.zeros((g.n_nodes, g.n_nodes))
+    for i, nb in enumerate(g.adj):
+        W[i, list(nb)] = list(nb.values())
+    W /= np.where(s > 0, s, 1.0)[:, None]
+    for v in np.flatnonzero(s == 0):
+        W[v, v] = 1.0
+    return W
+
+
+def _matrix_power(a: np.ndarray, steps: int) -> np.ndarray:
+    """``np.linalg.matrix_power(a, steps)`` for ``steps >= 1``, bit for bit: the
+    same products in the same order (up to 3 directly, then the bits of
+    ``steps`` from the lowest). Each factor is dropped once no later product
+    reads it, so a power of two holds two arrays at its peak when the caller
+    keeps no reference to ``a``."""
+    if steps <= 3:
+        p = a
+        for _ in range(steps - 1):
+            p = p @ a
+        return p
+    z, result = a, None
+    del a
+    while steps:
+        steps, bit = divmod(steps, 2)
+        if bit:
+            result = z if result is None else result @ z
+        if steps:
+            z = z @ z
+    return result
+
+
 def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]:
     """Random-walk agglomeration.
 
@@ -281,11 +319,13 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
     is the dendrogram cut with maximum modularity. Isolated nodes stay
     singletons.
 
-    Memory is dense: three n×n float64 arrays (8·n² bytes each; 50 MB per
-    array at 2,500 pages, 800 MB at 10,000), first the transition matrix and
-    two of its powers, then the walks and the merge loop's two arrays.
+    Memory is dense, 8·n² bytes per float64 array (50 MB at 2,500 pages,
+    800 MB at 10,000): while the transition matrix is raised to ``steps``,
+    two such arrays when ``steps`` is a power of two and three otherwise;
+    then the walks and the merge loop's two arrays, two and a half in all
+    while its weights are int32.
 
-    The walk matrix comes from BLAS (``matrix_power``), which may split its
+    The walk matrix comes from BLAS matrix products, which may split their
     sums by thread, so on large graphs a Ward distance can differ in the last
     bit between BLAS thread counts (seen at 240 and 600 nodes, one OpenBLAS
     thread against two) and a near-tie could then merge in another order. No
@@ -295,15 +335,8 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
         raise ValueError(f"steps must be positive, got {steps}")
     _require_weight(g)
     n = g.n_nodes
-    W = np.zeros((n, n))
-    for i, nb in enumerate(g.adj):
-        W[i, list(nb)] = list(nb.values())
     s = np.asarray(g.strengths, dtype=float)
-    W /= np.where(s > 0, s, 1.0)[:, None]  # the transition matrix
-    for v in np.flatnonzero(s == 0):
-        W[v, v] = 1.0
-    Pt = np.linalg.matrix_power(W, steps)
-    del W
+    Pt = _matrix_power(_transition_matrix(g, s), steps)
     inv_d = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
 
     agg = _Agglomeration(g)
@@ -311,11 +344,12 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
 
     def ward(sq, sa, sc) -> np.ndarray:
         """Ward distances between groups of ``sa`` and ``sc`` nodes from the
-        rows of ``sq``, their mean walks' differences, squared in place. One
-        ddot per row: a matrix product sums in another order and can change
-        the last bit, and so the order of tied merges."""
+        rows of ``sq``, their mean walks' differences, squared in place.
+        ``vecdot`` takes one ddot per contiguous row: a matrix product sums in
+        another order and can change the last bit, and so the order of tied
+        merges."""
         sq *= sq
-        return sa * sc / (sa + sc) / n * np.array(list(map(inv_d.dot, sq)))
+        return sa * sc / (sa + sc) / n * np.vecdot(sq, inv_d)
 
     for i, j in agg.pairs():  # singletons: each walk is its own mean
         sq = Pt[node[i]]

@@ -167,9 +167,17 @@ def distinct_rows(columns, sizes) -> tuple[np.ndarray, ...]:
     """
     keys = np.ravel_multi_index(columns, sizes)
     keys.sort()
-    first = np.ones(len(keys), bool)  # run starts; np.diff would make two int64 copies
-    first[1:] = keys[1:] != keys[:-1]
-    return np.unravel_index(keys[first], sizes)
+    return np.unravel_index(keys[run_starts(keys)], sizes)
+
+
+def run_starts(*columns) -> np.ndarray:
+    """Mask of the rows of the sorted ``columns`` that start a run of equal
+    rows; np.diff would make two int64 copies of each column."""
+    first = np.ones(len(columns[0]), bool)
+    first[1:] = columns[0][1:] != columns[0][:-1]
+    for c in columns[1:]:
+        first[1:] |= c[1:] != c[:-1]
+    return first
 
 
 def _record_from_obj(obj, line_no: int) -> InteractionRecord:

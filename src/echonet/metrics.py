@@ -17,7 +17,7 @@ import numpy as np
 
 from .compare import DegenerateDataWarning
 from .graphs import Partition
-from .ingest import ACTION_CODES, Dataset, distinct_rows
+from .ingest import ACTION_CODES, Dataset, distinct_rows, run_starts
 from .timebins import WINDOW_KEYS, day_bins
 
 DEFAULT_MIN_ACTIONS = 10
@@ -162,9 +162,12 @@ def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str,
     n_users, n_pages = len(d.user_table), len(d.page_table)
     user, window, _ = distinct_rows((d.user[rows], windows, d.page[rows]),
                                     (n_users, len(bins), n_pages))
-    user_windows, counts = np.unique(user * len(bins) + window, return_counts=True)
-    users, first = np.unique(user_windows // len(bins), return_index=True)
-    return dict(zip(d.user_table[users].tolist(), np.maximum.reduceat(counts, first).tolist()))
+    starts = np.flatnonzero(run_starts(user, window))  # a run of pages per (user, window)
+    counts = np.diff(starts, append=len(user))
+    user = user[starts]
+    first = np.flatnonzero(run_starts(user))
+    return dict(zip(d.user_table[user[first]].tolist(),
+                    np.maximum.reduceat(counts, first).tolist()))
 
 
 def community_page_stats(d: Dataset, sides: dict[str, str],
@@ -174,8 +177,9 @@ def community_page_stats(d: Dataset, sides: dict[str, str],
     n_users, n_pages = len(d.user_table), len(d.page_table)
     side, user, _ = distinct_rows((side, d.user[rows], d.page[rows]),
                                   (len(names), n_users, n_pages))
-    side_users, pages = np.unique(side * n_users + user, return_counts=True)
-    side = side_users // n_users
+    starts = np.flatnonzero(run_starts(side, user))  # a run of pages per (side, user)
+    pages = np.diff(starts, append=len(side))
+    side = side[starts]
     out: dict[str, tuple[float, float]] = {}
     for s in np.unique(side).tolist():
         counts = pages[side == s].tolist()

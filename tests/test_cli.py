@@ -330,6 +330,30 @@ def test_validate_holds_one_random_partition_at_a_time(corpus, monkeypatch):
     assert len(alive) == 10
 
 
+def test_validate_releases_each_kind_before_the_next(corpus, monkeypatch):
+    alive = []  # each kind's bipartite graph, projection and partitions
+
+    def tracked(call):
+        def wrapper(*args):
+            out = call(*args)
+            alive.append(weakref.ref(out[0] if isinstance(out, tuple) else out))
+            return out
+        return wrapper
+
+    def build(d, kind):
+        assert all(ref() is None for ref in alive), kind
+        return tracked(build_one)(d, kind)
+
+    build_one = cli.build_bipartite
+    monkeypatch.setattr(cli, "build_bipartite", build)
+    monkeypatch.setattr(cli, "project", tracked(cli.project))
+    for name, detect in cli.ALGORITHMS.items():
+        monkeypatch.setitem(cli.ALGORITHMS, name, tracked(detect))
+    run("validate", "--out-dir", corpus, "--in", "data.jsonl", "--labels", "labels.csv",
+        "--draws", "2", "--out", "v.csv")
+    assert len(alive) == 2 * 6
+
+
 TINY_SYNTH = ["synth", "--users", "2,2", "--pages", "1,1", "--posts-per-page", "1",
               "--out", "data.jsonl", "--truth", "labels.csv"]
 

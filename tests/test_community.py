@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -361,13 +362,19 @@ def test_all_algorithms_return_total_contiguous_partitions():
 
 
 def test_weight_scaling_leaves_partitions_unchanged():
-    # powers of two scale float arithmetic exactly, so even tie-breaks agree
-    for seed in range(4):
+    # powers of two scale float arithmetic exactly, so even tie-breaks agree;
+    # at 2**28 the total weight passes 2**31 and the merge loop's weights are int64
+    for seed, factor in itertools.product(range(4), (8, 2**28)):
         g = random_weighted_graph(14, 0.3, seed=90 + seed, connected=True)
-        scaled = ProjectionGraph(g.nodes, [(i, j, w * 8) for i, j, w in g.edges()])
-        assert fastgreedy(g)[0] == fastgreedy(scaled)[0]
+        scaled = ProjectionGraph(g.nodes, [(i, j, w * factor) for i, j, w in g.edges()])
+        wide = scaled.total_weight >= 2**31
+        assert wide == (factor > 8)
+        assert community._Agglomeration(scaled).B.dtype == (np.int64 if wide else np.int32)
+        for detect in (fastgreedy, walktrap):
+            (part, dendro), (scaled_part, scaled_dendro) = detect(g), detect(scaled)
+            assert part == scaled_part
+            assert dendro.merges == scaled_dendro.merges
         assert louvain(g, seed) == louvain(scaled, seed)
-        assert walktrap(g)[0] == walktrap(scaled)[0]
         assert label_propagation(g, seed) == label_propagation(scaled, seed)
 
 
@@ -530,3 +537,45 @@ PINNED_LARGE = {
 @pytest.mark.parametrize("name", sorted(PINNED_LARGE))
 def test_large_graph_dendrograms_are_pinned(name):
     assert dendrogram_digest(name, large_pinned_graphs()) == PINNED_LARGE[name]
+
+
+# ------------------------------------------------------------ dense memory
+
+
+@pytest.mark.parametrize("n", [7, 243, 1000])
+def test_matrix_power_matches_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a = rng.random((n, n))
+    a /= a.sum(axis=1)[:, None]
+    for steps in range(1, 10):
+        expected = np.linalg.matrix_power(a, steps)
+        got = community._matrix_power(a.copy(), steps)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), steps
+
+
+@pytest.mark.parametrize("length", [1, 7, 243, 1000, 2500])
+def test_vecdot_matches_per_row_dot_bit_for_bit(length):
+    # walktrap's Ward distances take one vecdot per block of contiguous rows
+    rng = np.random.default_rng(length)
+    sq = rng.random((64, length)) ** 2
+    d = rng.random(length)
+    expected = np.array([np.dot(row, d) for row in sq])
+    assert np.array_equal(np.vecdot(sq, d).view(np.int64), expected.view(np.int64))
+
+
+def test_dense_detectors_peak_memory_is_bounded():
+    """Peak traced memory in n×n float64 arrays on a 600-node graph: walktrap
+    holds the walks, the scores and the int32 weights (2.5 arrays) and
+    fastgreedy the scores and the weights (1.5), plus row blocks of 512 KB."""
+    import tracemalloc
+
+    g = large_pinned_graphs()[1]
+    array = 8 * g.n_nodes ** 2
+    for detect, bound in ((walktrap, 3.1), (fastgreedy, 1.9)):
+        tracemalloc.start()
+        try:
+            detect(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * array, (detect.__name__, peak / array)
