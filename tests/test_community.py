@@ -426,10 +426,12 @@ def pinned_graphs():
 
 
 # SHA-256 over every graph's Dendrogram.to_csv(), Partition.to_csv(), best step
-# and best score. A digest may only change with a CHANGES.md entry that explains
+# and best score (multilevel and labelprop: see SEEDED). A digest may only change with a CHANGES.md entry that explains
 # the behaviour change.
 PINNED = {
     "fastgreedy": "cedc317fab4123559fac3eb393cf8f634b6a0eb90505b132eb4008fd11789b04",
+    "labelprop": "28be5b905bef6c4ab4ac65f7f9895bea279b152196bba504441179cbc0136ae4",
+    "multilevel": "a9d5610cdbebd66edae1087ece2da51f095b7c038b6f52cc974262e8d734be52",
     "walktrap2": "8a005ce0e3bde9dc49fbef39de4778c3159bcda2d26eeee2b422d1eb4c90720c",
     "walktrap4": "bd48520e569aa0249338b06ae1daacb3fae079464eebb76350657dbf28585bd3",
 }
@@ -438,11 +440,19 @@ PINNED = {
 DETECTORS = {"fastgreedy": fastgreedy,
              "walktrap2": lambda g: walktrap(g, steps=2),
              "walktrap4": lambda g: walktrap(g, steps=4)}
+# the local-moving detectors return no dendrogram: their digests hash each
+# graph's Partition.to_csv() and flags at seeds 0, 1 and 2
+SEEDED = {"multilevel": louvain, "labelprop": label_propagation}
 
 
 def dendrogram_digest(name, graphs):
     h = hashlib.sha256()
     for g in graphs:
+        if name in SEEDED:
+            for seed in range(3):
+                part = SEEDED[name](g, seed)
+                h.update(part.to_csv().encode() + f"{part.flags}\n".encode())
+            continue
         part, dendro = DETECTORS[name](g)
         h.update(dendro.to_csv().encode() + part.to_csv().encode()
                  + f"{dendro.best_step},{dendro.best_score!r}\n".encode())
