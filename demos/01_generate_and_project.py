@@ -16,7 +16,7 @@ print(f"corpus: {len(dataset)} records, {len(dataset.pages)} pages, "
       f"{len(dataset.users)} users")
 
 bip = build_bipartite(dataset, "like")
-print(f"likes bipartite: {len(bip.users)} active users, {bip.n_edges} edges")
+print(f"likes bipartite: {len(set(bip.user.tolist()))} active users, {bip.n_edges} edges")
 
 g = project(bip)
 print(f"projection: {g.n_nodes} pages, {g.n_edges} weighted edges, "

@@ -32,8 +32,6 @@ from .graphs import (
     ProjectionGraph,
     build_bipartite,
     connected_components,
-    induced_subgraph,
-    largest_component_size,
     project,
 )
 from .ingest import (

@@ -14,7 +14,6 @@ import hashlib
 import random
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -39,17 +38,14 @@ def modularity(g: ProjectionGraph, p: Partition) -> float:
     m = g.total_weight
     if m == 0:
         raise ValueError("modularity undefined for a graph with zero total weight")
-    com = p.as_dict()
-    label = [com[node] for node in g.nodes]
-    within = [0] * p.n_communities  # twice the within weight: both orientations
-    strength = [0] * p.n_communities
-    for i, nb in enumerate(g.adj):
-        c = label[i]
-        strength[c] += g.strengths[i]
-        within[c] += sum(w for j, w in nb.items() if label[j] == c)
-    within = [wc // 2 for wc in within]
+    com, k = p.as_dict(), p.n_communities
+    label = np.array([com[node] for node in g.nodes])
+    same = label[g.src] == label[g.dst]
+    # twice the within weight, as each edge is two arcs; float64 sums of integers
+    within = np.bincount(label[g.src[same]], g.weights[same], k).astype(np.int64) // 2
+    strength = np.bincount(label, g.strengths, k).astype(np.int64)
     two_m = 2.0 * m
-    return sum(wc / m - (sc / two_m) ** 2 for wc, sc in zip(within, strength))
+    return sum(wc / m - (sc / two_m) ** 2 for wc, sc in zip(within.tolist(), strength.tolist()))
 
 
 @dataclass(frozen=True)
@@ -89,19 +85,14 @@ class _Agglomeration:
         slot[self.node] = np.arange(n)
         self.rows = max(1, (1 << 16) // n)  # rows per block: no temporary passes 512 KB
         self.B = np.zeros((n, n), np.int32 if g.total_weight < 2**31 else np.int64)
-        for k in range(0, n, self.rows):
-            nbs = [g.adj[v] for v in self.node[k:k + self.rows]]
-            deg = [len(nb) for nb in nbs]
-            cols = slot[np.fromiter(chain.from_iterable(nbs), np.intp, sum(deg))]
-            self.B[np.repeat(np.arange(k, k + len(nbs)), deg), cols] = np.fromiter(
-                chain.from_iterable(nb.values() for nb in nbs), self.B.dtype, sum(deg))
+        self.B[slot[g.src], slot[g.dst]] = g.weights
         self.S = np.full((n, n), np.inf)  # the detector scores each adjacent pair
         self.size = np.ones(n)
-        self.strength = np.array(g.strengths, dtype=float)[self.node]
+        self.strength = g.strengths[self.node].astype(float)
         self.bs, self.bp = np.empty(n), np.empty(n, dtype=np.intp)  # each row's best
         self.merges: list[tuple[int, int, float]] = []
         two_m = 2.0 * self.m
-        self.q = -sum((s / two_m) ** 2 for s in g.strengths)
+        self.q = -sum((s / two_m) ** 2 for s in g.strengths.tolist())
 
     def run(self, rescore) -> tuple[Partition, Dendrogram]:
         """Merge the lowest-scored adjacent pair until none is left.
@@ -218,13 +209,13 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
     m = float(g.total_weight)
 
     # level-local adjacency (rebound per level, never written) plus self-loop weight
-    adj = g.adj
+    adj = g.rows()
     loops = [0.0] * g.n_nodes
     assignment = list(range(g.n_nodes))  # original node -> current supernode
 
     while True:
         n = len(adj)
-        strength = [sum(nb.values()) + 2.0 * loops[v] for v, nb in enumerate(adj)]
+        strength = [sum(ws) + 2.0 * loops[v] for v, (_nb, ws) in enumerate(adj)]
         com = list(range(n))
         com_tot = strength[:]
         moved_any = False
@@ -235,7 +226,7 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
             for v in order:
                 cv = com[v]
                 w_to: dict[int, float] = {cv: 0.0}
-                for u, w in adj[v].items():
+                for u, w in zip(*adj[v]):
                     w_to[com[u]] = w_to.get(com[u], 0.0) + w
                 com_tot[cv] -= strength[v]
                 best_c, best_gain = cv, w_to[cv] - com_tot[cv] * strength[v] / (2.0 * m)
@@ -262,7 +253,7 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
         for v in range(n):
             cv = remap[com[v]]
             new_loops[cv] += loops[v]
-            for u, w in adj[v].items():
+            for u, w in zip(*adj[v]):
                 cu = remap[com[u]]
                 if cu == cv:
                     if u > v:
@@ -270,7 +261,7 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
                 else:
                     new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
         assignment = [remap[com[s]] for s in assignment]
-        adj, loops = new_adj, new_loops
+        adj, loops = [(list(nb), list(nb.values())) for nb in new_adj], new_loops
         if len(adj) == n:
             break
     return Partition.from_labels(g.nodes, assignment)
@@ -280,11 +271,10 @@ def _transition_matrix(g: ProjectionGraph, s: np.ndarray) -> np.ndarray:
     """The random walk's n×n transition matrix, w_ij / s_i; an isolated node
     (strength 0 in ``s``) steps to itself."""
     W = np.zeros((g.n_nodes, g.n_nodes))
-    for i, nb in enumerate(g.adj):
-        W[i, list(nb)] = list(nb.values())
+    W[g.src, g.dst] = g.weights
     W /= np.where(s > 0, s, 1.0)[:, None]
-    for v in np.flatnonzero(s == 0):
-        W[v, v] = 1.0
+    isolated = np.flatnonzero(s == 0)
+    W[isolated, isolated] = 1.0
     return W
 
 
@@ -335,7 +325,7 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
         raise ValueError(f"steps must be positive, got {steps}")
     _require_weight(g)
     n = g.n_nodes
-    s = np.asarray(g.strengths, dtype=float)
+    s = g.strengths.astype(float)
     Pt = _matrix_power(_transition_matrix(g, s), steps)
     inv_d = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
 
@@ -388,17 +378,17 @@ def label_propagation(g: ProjectionGraph, seed: int = 0) -> Partition:
         raise ValueError("graph is empty")
     rng = random.Random(seed)
     n = g.n_nodes
-    labels = list(range(n))
+    labels, rows = list(range(n)), g.rows()
     flags: tuple[str, ...] = ()
     for _sweep in range(MAX_LP_SWEEPS):
         order = list(range(n))
         rng.shuffle(order)
         changed = False
         for v in order:
-            if not g.adj[v]:
+            if not rows[v][0]:
                 continue
             weight_by_label: dict[int, int] = {}
-            for u, w in g.adj[v].items():
+            for u, w in zip(*rows[v]):
                 weight_by_label[labels[u]] = weight_by_label.get(labels[u], 0) + w
             best = max(weight_by_label.values())
             tied = sorted(lab for lab, w in weight_by_label.items() if w == best)

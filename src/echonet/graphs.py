@@ -8,12 +8,11 @@ users of each page pair.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ACTION_CODES, ENGAGEMENT_ACTIONS, Dataset, csv_text, distinct_rows
+from .ingest import ACTION_CODES, ENGAGEMENT_ACTIONS, Dataset, csv_text, distinct_rows, run_starts
 
 
 @dataclass(frozen=True)
@@ -69,67 +68,71 @@ class Partition:
 
 
 class BipartiteGraph:
-    """User-page incidence for one action kind: each user's sorted page ids.
+    """User-page incidence for one action kind, as distinct code pairs.
 
-    ``pairs`` is any iterable of (user, page) strings, every page one of
-    ``pages``; repeats collapse. ``users`` holds the users with at least one
-    pair, sorted, and ``user_pages[u]`` the ids of user u's pages, ascending.
+    ``user`` and ``page`` are equal-length int arrays of (user, page) pairs,
+    with any non-negative user codes and ``page`` indexing ``pages``. Repeats
+    collapse: the graph keeps the distinct pairs sorted by (user, page), as
+    read-only arrays.
     """
 
-    def __init__(self, pages, pairs, action: str):
+    def __init__(self, pages, user, page, action: str):
         self.pages: tuple[str, ...] = tuple(pages)
         self.action = action
-        index = {p: i for i, p in enumerate(self.pages)}
-        # a list per user, not a set: sets doubled the criterion-10 build's peak memory
-        by_user: defaultdict[str, list[int]] = defaultdict(list)
-        for u, p in pairs:
-            by_user[u].append(index[p])
-        self.users: tuple[str, ...] = tuple(sorted(by_user))
-        self.user_pages = [sorted(set(by_user[u])) for u in self.users]
+        user, page = np.asarray(user, np.intp), np.asarray(page, np.intp)
+        shape = (int(user.max(initial=0)) + 1, max(len(self.pages), 1))
+        self.user, self.page = distinct_rows((user, page), shape)
+        self.user.flags.writeable = self.page.flags.writeable = False
 
     @property
     def n_edges(self) -> int:
-        return sum(map(len, self.user_pages))
+        return len(self.user)
 
 
 def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
     """Collapse records of one kind into distinct (user, page) edges.
 
-    Page nodes cover every page in the dataset; user nodes cover users with at
-    least one edge.
+    Page nodes cover every page in the dataset; user codes are the dataset's.
     """
     if action not in ENGAGEMENT_ACTIONS:
         raise ValueError(f"action must be like or comment, got {action!r}")
     rows = d.action == ACTION_CODES[action]
     shape = (len(d.user_table), len(d.page_table))
     user, page = distinct_rows((d.user[rows], d.page[rows]), shape)
-    pairs = zip(d.user_table[user].tolist(), d.page_table[page].tolist())
-    return BipartiteGraph(d.page_table[np.unique(d.page)].tolist(), pairs, action)
+    present = np.unique(d.page)
+    return BipartiteGraph(d.page_table[present].tolist(), user,
+                          np.searchsorted(present, page), action)
 
 
 class ProjectionGraph:
     """Weighted undirected page graph; weight = number of common users.
 
-    Each ``adj[v]`` maps neighbours to integer weights in ascending neighbour
-    order, whatever order the edges came in. Nothing writes to ``adj`` or
-    ``strengths`` after construction.
+    Each edge is two arcs, one per orientation, held in three read-only arrays
+    sorted by (src, dst): int ``src`` and ``dst`` node ids and int64
+    ``weights``, a CSR matrix's column and value arrays with the row id
+    spelled out. ``strengths`` holds each node's sum of arc weights. Sums
+    are float64 sums of integers, exact while the total is below 2**53.
     """
 
     def __init__(self, nodes, edges):
-        """``edges``: iterable of (i, j, weight) with dense indices i != j, in
-        any order and orientation; a pair given more than once sums its weights."""
+        """``edges``: (i, j, weight) rows with dense indices i != j, as triples
+        or a k×3 int array, in any order and orientation; a pair given more
+        than once sums its weights."""
         self.nodes: tuple[str, ...] = tuple(nodes)
         self.index = {n: i for i, n in enumerate(self.nodes)}
-        adj: list[dict[int, int]] = [dict() for _ in self.nodes]
-        for i, j, w in edges:
-            if i == j:
-                raise ValueError(f"self-loop on {self.nodes[i]!r}")
-            if w <= 0:
-                raise ValueError("zero-weight pairs must be absent")
-            adj[i][j] = adj[i].get(j, 0) + int(w)
-            adj[j][i] = adj[j].get(i, 0) + int(w)
-        self.adj = [dict(sorted(nb.items())) for nb in adj]
-        self.strengths = [sum(nb.values()) for nb in self.adj]
+        i, j, w = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
+        if (loop := i == j).any():
+            raise ValueError(f"self-loop on {self.nodes[i[loop][0]]!r}")
+        if (w <= 0).any():
+            raise ValueError("zero-weight pairs must be absent")
+        shape = (max(self.n_nodes, 1),) * 2
+        keys, arc = np.unique(np.ravel_multi_index(
+            (np.concatenate((i, j)), np.concatenate((j, i))), shape), return_inverse=True)
+        self.src, self.dst = np.unravel_index(keys, shape)
+        self.weights = np.bincount(arc, np.concatenate((w, w)), len(keys)).astype(np.int64)
+        self.strengths = np.bincount(self.src, self.weights, self.n_nodes).astype(np.int64)
+        for a in (self.src, self.dst, self.weights, self.strengths):
+            a.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
@@ -137,21 +140,28 @@ class ProjectionGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(nb) for nb in self.adj) // 2
+        return len(self.src) // 2
 
     @property
     def total_weight(self) -> int:
-        return sum(self.strengths) // 2
+        return int(self.weights.sum()) // 2
 
     def edges(self):
-        """Yield (i, j, weight) once per unordered pair, i < j, in ascending order."""
-        for i, nb in enumerate(self.adj):
-            for j, w in nb.items():
-                if i < j:
-                    yield i, j, w
+        """(i, j, weight) once per unordered pair, i < j, in ascending order."""
+        up = self.src < self.dst
+        return zip(self.src[up].tolist(), self.dst[up].tolist(), self.weights[up].tolist())
+
+    def rows(self) -> list[tuple[list[int], list[int]]]:
+        """Each node's neighbours, ascending, and their weights, as Python lists."""
+        dst, weights = self.dst.tolist(), self.weights.tolist()
+        bounds = np.searchsorted(self.src, np.arange(self.n_nodes + 1)).tolist()
+        return [(dst[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def weight(self, a: str, b: str) -> int:
-        return self.adj[self.index[a]].get(self.index[b], 0)
+        i, j = self.index[a], self.index[b]
+        lo, hi = np.searchsorted(self.src, (i, i + 1))
+        k = lo + np.searchsorted(self.dst[lo:hi], j)
+        return int(self.weights[k]) if k < hi and self.dst[k] == j else 0
 
     def to_csv(self) -> str:
         rows = [(*sorted((self.nodes[i], self.nodes[j])), w) for i, j, w in self.edges()]
@@ -159,31 +169,39 @@ class ProjectionGraph:
 
 
 def project(b: BipartiteGraph) -> ProjectionGraph:
-    """One-mode projection onto pages, by pair counting.
+    """One-mode projection onto pages, as an exact integer product.
 
-    Each user's sorted pages ``ps`` add ``ps[k+1:]`` to page ``ps[k]``'s row,
-    one ``Counter`` per page, never all-pairs set intersection.
+    Users go in blocks of ``2**18 // pages``, so that a block's float32 0/1
+    matrix over every page would fill 1 MB. Each block's matrix ``M`` over
+    the pages it touches adds ``M @ M.T`` into an int32 pages × pages count
+    of common users (below 2**31 users). Each product is exact whatever
+    order BLAS sums in, as a block holds fewer than 2**24 users. Memory is
+    that count, 4·pages² bytes (25 MB at 2,500 pages, 400 MB at 10,000),
+    plus one block and its product. Time grows with the square of the pages a block touches, which
+    rests on a property of the corpus: users whose codes are close act on
+    few pages in all. Table 1's corpora have it, as their user codes run page
+    block by page block (a 262-user block of the 1,000-page corpus touches
+    about 100 pages); on a dense graph every block touches every page.
     """
-    rows = [Counter() for _ in b.pages]
-    for ps in b.user_pages:
-        for k, i in enumerate(ps):
-            rows[i].update(ps[k + 1:])
-    return ProjectionGraph(b.pages, [
-        (i, j, w) for i, row in enumerate(rows) for j, w in row.items()])
-
-
-def induced_subgraph(g: ProjectionGraph, keep) -> ProjectionGraph:
-    """Restrict to ``keep`` nodes; edges with both endpoints kept, weights unchanged."""
-    keep = list(keep)
-    missing = [p for p in keep if p not in g.index]
-    if missing:
-        raise ValueError(f"pages not in graph: {sorted(missing)}")
-    keep_set = set(keep)
-    nodes = [n for n in g.nodes if n in keep_set]
-    new_index = {n: i for i, n in enumerate(nodes)}
-    return ProjectionGraph(nodes, [
-        (new_index[g.nodes[i]], new_index[g.nodes[j]], w) for i, j, w in g.edges()
-        if g.nodes[i] in new_index and g.nodes[j] in new_index])
+    n = len(b.pages)
+    counts = np.zeros((n, n), np.int32)
+    rank = np.cumsum(run_starts(b.user)) - 1  # each pair's user, numbered from 0
+    per_block = (1 << 18) // max(n, 1)  # users a block holds in 1 MB
+    n_users = int(rank[-1]) + 1 if b.n_edges else 0
+    bounds = np.searchsorted(rank, np.arange(0, n_users + per_block, per_block)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        page, user = b.page[lo:hi], rank[lo:hi] - rank[lo]
+        touched = np.flatnonzero(np.bincount(page, minlength=n))
+        m = np.zeros((len(touched), user[-1] + 1), np.float32)
+        m[np.searchsorted(touched, page), user] = 1
+        ix = np.ix_(touched, touched)
+        block = counts[ix]
+        np.add(block, m @ m.T, out=block, casting="unsafe")
+        counts[ix] = block
+    i, j = counts.nonzero()
+    up = i < j
+    i, j = i[up], j[up]
+    return ProjectionGraph(b.pages, np.column_stack((i, j, counts[i, j])))
 
 
 def connected_components(g: ProjectionGraph) -> Partition:
@@ -192,7 +210,7 @@ def connected_components(g: ProjectionGraph) -> Partition:
     Component ids are assigned in decreasing size order, breaking ties by the
     smallest page id contained.
     """
-    n = g.n_nodes
+    n, rows = g.n_nodes, g.rows()
     comp = [-1] * n
     comps: list[list[int]] = []
     for start in range(n):
@@ -204,7 +222,7 @@ def connected_components(g: ProjectionGraph) -> Partition:
         members = [start]
         while stack:
             v = stack.pop()
-            for nb in g.adj[v]:
+            for nb in rows[v][0]:
                 if comp[nb] < 0:
                     comp[nb] = cid
                     members.append(nb)
@@ -214,9 +232,3 @@ def connected_components(g: ProjectionGraph) -> Partition:
                    key=lambda c: (-len(comps[c]), min(g.nodes[v] for v in comps[c])))
     rank = {c: i for i, c in enumerate(order)}
     return Partition(g.nodes, tuple(rank[comp[v]] for v in range(n)), len(comps))
-
-
-def largest_component_size(g: ProjectionGraph) -> int:
-    if g.n_nodes == 0:
-        return 0
-    return max(connected_components(g).sizes())

@@ -117,16 +117,15 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
     for i, q in enumerate(span):
         for s, side in enumerate(communities):
             start, stop = (bounds[s * len(span) + k] for k in (0 if cumulative else i, i + 1))
-            pages = d.page_table[np.unique(page[start:stop])].tolist()
+            pages = np.unique(page[start:stop])
             total = len(pages)
             if total < 2:
                 for algo in algorithms:
                     out.append(CohesionPoint(q, side, algo, total, total,
                                              ("degenerate",)))
                 continue
-            pairs = zip(d.user_table[user[start:stop]].tolist(),
-                        d.page_table[page[start:stop]].tolist())
-            g = project(BipartiteGraph(pages, pairs, action))
+            g = project(BipartiteGraph(d.page_table[pages].tolist(), user[start:stop],
+                                       np.searchsorted(pages, page[start:stop]), action))
             for algo in algorithms:
                 if g.total_weight == 0:
                     largest = 1  # no co-actors: every page is its own community

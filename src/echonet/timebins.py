@@ -78,11 +78,6 @@ def format_timestamps(ts) -> list[str]:
     return [stamp + "Z" for stamp in np.datetime_as_string(ts.astype("M8[s]")).tolist()]
 
 
-def format_timestamp(ts: int) -> str:
-    """Canonical ISO-8601 form, always UTC with Z suffix."""
-    return format_timestamps([ts])[0]
-
-
 def parse_date(value) -> date:
     if isinstance(value, date) and not isinstance(value, datetime):
         return value

@@ -13,8 +13,6 @@ from echonet.graphs import (
     ProjectionGraph,
     build_bipartite,
     connected_components,
-    induced_subgraph,
-    largest_component_size,
     project,
 )
 from echonet.synth import SynthConfig, generate
@@ -27,30 +25,36 @@ def test_multiplicity_collapsed():
                 rec("u1", "p1", "like", "2014-02-01"))
     b = build_bipartite(d, "like")
     assert b.n_edges == 1
-    assert b.users == ("u1",) and b.user_pages == [[0]]
+    assert b.user.tolist() == [0] and b.page.tolist() == [0]
 
 
 def test_repeated_pairs_collapse():
-    pairs = [("u2", "b"), ("u1", "c"), ("u2", "b"), ("u1", "a"), ("u1", "c")]
-    b = BipartiteGraph(["a", "b", "c"], pairs, "like")
-    assert b.users == ("u1", "u2")
-    assert b.user_pages == [[0, 2], [1]] and b.n_edges == 3
+    user, page = [2, 1, 2, 1, 1], [1, 2, 1, 0, 2]
+    b = BipartiteGraph(["a", "b", "c"], user, page, "like")
+    assert b.user.tolist() == [1, 1, 2]
+    assert b.page.tolist() == [0, 2, 1] and b.n_edges == 3
 
 
 def test_pages_without_pairs_stay_nodes():
-    b = BipartiteGraph(["a", "b", "c", "d"], iter([("u1", "b"), ("u2", "b")]), "comment")
+    b = BipartiteGraph(["a", "b", "c", "d"], np.array([1, 2]), np.array([1, 1]), "comment")
     assert b.pages == ("a", "b", "c", "d") and b.action == "comment"
-    assert b.user_pages == [[1], [1]]
+    assert b.page.tolist() == [1, 1]
     g = project(b)
     assert g.nodes == b.pages and g.n_edges == 0
 
 
 def test_users_sorted_and_only_those_with_pairs():
-    pairs = [("u10", "p"), ("u2", "p"), ("u1", "q"), ("u2", "q")]
-    b = BipartiteGraph(["p", "q"], pairs, "like")
-    assert b.users == ("u1", "u10", "u2")
-    assert b.user_pages == [[1], [0], [0, 1]]
-    assert BipartiteGraph(["p", "q"], [], "like").users == ()
+    b = BipartiteGraph(["p", "q"], [10, 2, 1, 2], [0, 0, 1, 1], "like")
+    assert b.user.tolist() == [1, 2, 2, 10]
+    assert b.page.tolist() == [1, 0, 1, 0]
+    assert BipartiteGraph(["p", "q"], [], [], "like").n_edges == 0
+
+
+def test_bipartite_graph_is_read_only():
+    b = BipartiteGraph(["p", "q"], [0, 1], [1, 0], "like")
+    for column in (b.user, b.page):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
 
 
 def test_build_bipartite_holds_a_few_words_per_record():
@@ -78,7 +82,7 @@ def test_kind_filter_empty_edges():
     d = dataset(rec("u1", "p1", "like"), rec("u2", "p2", "like"))
     b = build_bipartite(d, "comment")
     assert b.pages == ("p1", "p2")
-    assert b.n_edges == 0 and not b.users
+    assert b.n_edges == 0 and len(b.user) == 0
 
 
 def test_bipartite_edges_match_brute_force():
@@ -86,8 +90,7 @@ def test_bipartite_edges_match_brute_force():
     for kind in ("like", "comment"):
         b = build_bipartite(d, kind)
         expected = {(r.user, r.page) for r in d.records if r.action == kind}
-        got = {(b.users[u], b.pages[p])
-               for u, ps in enumerate(b.user_pages) for p in ps}
+        got = {(d.user_table[u], b.pages[p]) for u, p in zip(b.user, b.page)}
         assert got == expected and b.n_edges == len(expected)
         assert b.pages == tuple(sorted(d.pages))
 
@@ -117,7 +120,7 @@ def test_project_weights_match_brute_force():
     # weight bound and strength cache
     for i, j, w in g.edges():
         assert w <= min(len(liked[g.nodes[i]]), len(liked[g.nodes[j]]))
-    assert list(g.strengths) == [sum(nb.values()) for nb in g.adj]
+    assert g.strengths.tolist() == [sum(ws) for _nb, ws in g.rows()]
 
 
 def test_projection_weight_sum_identity():
@@ -134,16 +137,16 @@ def test_projection_weight_sum_identity():
 
 def random_bipartite(rng, n_pages, n_users):
     """Users of degree 0 to n_pages, degree 0 and 1 drawn often, some pairs
-    given twice; returns the graph and its distinct (user, page) pairs."""
+    given twice; returns the graph and its distinct (user, page) code pairs."""
     pages = [f"p{i:02d}" for i in range(n_pages)]
     pairs = []
     for u in range(n_users):
         k = min(n_pages, int(rng.choice([0, 1, int(rng.integers(0, n_pages + 1))])))
-        pairs += [(f"u{u:02d}", pages[p]) for p in rng.choice(n_pages, size=k, replace=False)]
+        pairs += [(u, int(p)) for p in rng.choice(n_pages, size=k, replace=False)]
     repeats = [pairs[i] for i in rng.integers(0, len(pairs), len(pairs) // 3)] if pairs else []
     given = pairs + repeats
     rng.shuffle(given)
-    return BipartiteGraph(pages, given, "like"), set(pairs)
+    return BipartiteGraph(pages, [u for u, _p in given], [p for _u, p in given], "like"), set(pairs)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -153,20 +156,38 @@ def test_project_sorted_edges_and_adjacency_match_brute_force(seed):
         (int(rng.integers(2, 15)), int(rng.integers(1, 25))) for _ in range(10)]
     for n_pages, n_users in shapes:
         b, pairs = random_bipartite(rng, n_pages, n_users)
-        assert all(ps == sorted(set(ps)) for ps in b.user_pages)
-        assert b.users == tuple(sorted({u for u, _p in pairs}))
+        assert list(zip(b.user.tolist(), b.page.tolist())) == sorted(pairs)
         g = project(b)
         edges = list(g.edges())
         assert edges == sorted(edges)
-        for v in range(g.n_nodes):
-            assert list(g.adj[v]) == sorted(g.adj[v])
-        users_of = [{u for u, p in pairs if p == page} for page in b.pages]
+        users_of = [{u for u, p in pairs if p == page} for page in range(n_pages)]
         expected = [(i, j, len(users_of[i] & users_of[j]))
                     for i, j in itertools.combinations(range(n_pages), 2)
                     if users_of[i] & users_of[j]]
         assert edges == expected
-        assert g.strengths == [sum(nb.values()) for nb in g.adj]
+        # each row ascends and holds every edge of its node
+        rows = [sorted((i + j - v, w) for i, j, w in expected if v in (i, j))
+                for v in range(n_pages)]
+        assert g.rows() == [([u for u, _w in r], [w for _u, w in r]) for r in rows]
+        assert g.strengths.tolist() == [sum(w for _u, w in r) for r in rows]
         assert g.total_weight == sum(w for _i, _j, w in expected)
+
+
+def test_project_adds_user_blocks_exactly():
+    """1,000 pages put 262 users in a block, so 700 users make three blocks.
+    Each user takes 12 pages near 1/5 of its code, so a block touches a
+    window of pages that overlaps the next block's."""
+    rng = np.random.default_rng(3)
+    n_pages, n_users = 1000, 700
+    user = np.repeat(np.arange(n_users), 12)
+    page = (user // 5 + rng.integers(0, 150, len(user))) % n_pages
+    g = project(BipartiteGraph([f"p{i:04d}" for i in range(n_pages)], 3 * user, page, "like"))
+    incidence = np.zeros((n_users, n_pages))
+    incidence[user, page] = 1
+    common = (incidence.T @ incidence).astype(np.int64)  # exact: sums of 0/1 below 2**53
+    i, j = np.nonzero(np.triu(common, 1))
+    assert list(g.edges()) == list(zip(i.tolist(), j.tolist(), common[i, j].tolist()))
+    assert g.n_edges > 20_000
 
 
 def test_projection_rows_ascend_whatever_the_edge_order():
@@ -178,14 +199,16 @@ def test_projection_rows_ascend_whatever_the_edge_order():
     flipped = [(j, i, w) for i, j, w in shuffled]
     nodes = [f"p{rng.randrange(100):02d}_{i}" for i in range(n)]
     graphs = [ProjectionGraph(nodes, edges) for edges in (shuffled, flipped, ordered)]
+    graphs.append(ProjectionGraph(nodes, np.array(flipped)))  # a k×3 array reads the same
     for g in graphs:
-        assert [list(nb) for nb in g.adj] == [sorted(nb) for nb in graphs[2].adj]
+        assert g.rows() == graphs[2].rows()
         assert list(g.edges()) == ordered
         assert g.to_csv() == graphs[2].to_csv()
     # a pair given more than once, in either orientation, sums its weights
     g = ProjectionGraph(["a", "b", "c"], [(2, 0, 1), (1, 0, 2), (0, 1, 3)])
-    assert [list(nb.items()) for nb in g.adj] == [[(1, 5), (2, 1)], [(0, 5)], [(0, 1)]]
-    assert list(g.edges()) == [(0, 1, 5), (0, 2, 1)] and g.strengths == [6, 5, 1]
+    assert g.rows() == [([1, 2], [5, 1]), ([0], [5]), ([0], [1])]
+    assert list(g.edges()) == [(0, 1, 5), (0, 2, 1)] and g.strengths.tolist() == [6, 5, 1]
+    assert (g.src.tolist(), g.dst.tolist()) == ([0, 0, 1, 2], [1, 2, 0, 0])
 
 
 def test_projection_rejects_self_loops_and_zero_weights():
@@ -193,31 +216,6 @@ def test_projection_rejects_self_loops_and_zero_weights():
         ProjectionGraph(["a"], [(0, 0, 1)])
     with pytest.raises(ValueError):
         ProjectionGraph(["a", "b"], [(0, 1, 0)])
-
-
-def test_induced_identity():
-    g = random_weighted_graph(12, 0.4, seed=2)
-    sub = induced_subgraph(g, g.nodes)
-    assert sub.nodes == g.nodes
-    assert list(sub.edges()) == list(g.edges())
-
-
-def test_induced_singleton():
-    g = random_weighted_graph(6, 0.8, seed=3)
-    sub = induced_subgraph(g, [g.nodes[0]])
-    assert sub.nodes == (g.nodes[0],) and sub.n_edges == 0
-
-
-def test_induced_triangle_to_edge():
-    g = ProjectionGraph(["a", "b", "c"], [(0, 1, 3), (0, 2, 5), (1, 2, 7)])
-    sub = induced_subgraph(g, ["a", "c"])
-    assert sub.n_edges == 1 and sub.weight("a", "c") == 5
-
-
-def test_induced_unknown_page_errors():
-    g = ProjectionGraph(["a", "b"], [(0, 1, 1)])
-    with pytest.raises(ValueError, match="zz"):
-        induced_subgraph(g, ["a", "zz"])
 
 
 def test_components_two_disjoint_edges():
@@ -264,12 +262,6 @@ def test_components_invariant_under_weight_rescaling():
     g = random_weighted_graph(30, 0.08, seed=6)
     scaled = ProjectionGraph(g.nodes, [(i, j, w * 17) for i, j, w in g.edges()])
     assert connected_components(g) == connected_components(scaled)
-
-
-def test_largest_component_size():
-    g = ProjectionGraph(["a", "b", "c", "d", "e"], [(0, 1, 1), (1, 2, 1)])
-    assert largest_component_size(g) == 3
-    assert largest_component_size(ProjectionGraph([], [])) == 0
 
 
 def test_projection_csv_round_trip():

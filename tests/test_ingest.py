@@ -27,7 +27,6 @@ from echonet.timebins import (
     MAX_TS,
     MIN_TS,
     day_start,
-    format_timestamp,
     format_timestamps,
     iso_week_of,
     month_of,
@@ -124,7 +123,7 @@ def json_lines(d: Dataset) -> str:
     """The canonical JSONL text of ``d`` by json.dumps, one record at a time."""
     return "".join(
         json.dumps({"user": r.user, "page": r.page, "post": r.post, "action": r.action,
-                    "ts": format_timestamp(r.ts)}, separators=(",", ":")) + "\n"
+                    "ts": format_timestamps([r.ts])[0]}, separators=(",", ":")) + "\n"
         for r in sorted(d.records, key=lambda r: (r.ts, r.page, r.post, r.user, r.action)))
 
 
@@ -578,10 +577,9 @@ def test_timestamp_oracle():
     instants = [MIN_TS, MAX_TS, -1, 0] + [day_start(d) + s for d in week_53
                                           for s in (0, 86399)]
     instants += [rng.randint(MIN_TS, MAX_TS) for _ in range(20_000)]
-    assert format_timestamps(instants) == list(map(format_timestamp, instants))
-    for ts in instants:
+    for ts, stamp in zip(instants, format_timestamps(instants)):
         dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-        assert format_timestamp(ts) == dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert stamp == format_timestamps([ts])[0] == dt.strftime("%Y-%m-%dT%H:%M:%SZ")
         assert quarter_of(ts) == (dt.year, (dt.month - 1) // 3 + 1)
         assert month_of(ts) == (dt.year, dt.month)
         assert year_of(ts) == (dt.year,)

@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from echonet.graphs import build_bipartite, connected_components, induced_subgraph, project
+from echonet.graphs import build_bipartite, connected_components, project
 from echonet.ingest import serialize_records
 from echonet.metrics import user_polarization
 from echonet.synth import RECORDS_CAP, SynthConfig, generate
@@ -99,10 +99,9 @@ def test_truth_covers_everything():
 def test_pure_sides_project_to_single_components():
     d, truth, _ = generate(small_config(p_out=0.0))
     g = project(build_bipartite(d, "like"))
-    for side in ("pro", "anti"):
-        pages = sorted(p for p, s in truth.page_side.items() if s == side)
-        sub = induced_subgraph(g, pages)
-        assert connected_components(sub).n_communities == 1
+    components = {frozenset(c) for c in connected_components(g).communities()}
+    assert components == {frozenset(p for p, s in truth.page_side.items() if s == side)
+                          for side in ("pro", "anti")}
 
 
 def test_zero_pages_with_users_rejected():

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from echonet import temporal
 from echonet.compare import DegenerateDataWarning
+from echonet.graphs import project
 from echonet.metrics import pages_per_window
 from echonet.temporal import (
     activity_series,
@@ -122,6 +123,26 @@ def test_cohesion_no_shared_users_gives_singletons():
                 rec("u2", "p2", "like", "2014-02-01"))
     for pt in cohesion_series(d, {"p1": "pro", "p2": "pro"}):
         assert pt.largest == 1 and pt.total == 2
+
+
+def test_cumulative_cohesion_collapses_repeated_pairs(monkeypatch):
+    # u1 likes a and b in both quarters and u2 likes b and c in the second, so
+    # the cumulative second quarter hands the graph (u1, a) and (u1, b) twice
+    records = [rec("u1", p, "like", day) for p in "ab" for day in ("2014-02-01", "2014-05-01")]
+    records += [rec("u2", p, "like", "2014-05-01") for p in "bc"]
+    graphs = []
+    bipartite = temporal.BipartiteGraph
+
+    def spy(pages, user, page, action):
+        graphs.append((len(user), bipartite(pages, user, page, action)))
+        return graphs[-1][1]
+
+    monkeypatch.setattr(temporal, "BipartiteGraph", spy)
+    points = cohesion_series(dataset(*records), {p: "pro" for p in "abc"},
+                             algorithms=("fastgreedy",), cumulative=True)
+    assert [(given, b.n_edges) for given, b in graphs] == [(2, 2), (6, 4)]
+    assert list(project(graphs[1][1]).edges()) == [(0, 1, 1), (1, 2, 1)]
+    assert [(pt.quarter, pt.total) for pt in points] == [((2014, 1), 2), ((2014, 2), 3)]
 
 
 def test_cohesion_largest_never_exceeds_total():
