@@ -200,22 +200,22 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
     """Multi-level modularity optimization (local moves + aggregation).
 
     Each pass visits nodes in a seed-shuffled order and moves a node to the
-    neighboring community with the largest positive modularity gain; when a
-    full pass moves nothing, communities are collapsed into supernodes and the
-    procedure repeats on the aggregated graph.
+    neighboring community with the largest positive modularity gain; on a tie
+    it keeps its community, else the lowest community id wins. When a full
+    pass moves nothing, communities become supernodes, numbered by the first
+    node of each in node order, and the procedure repeats on their
+    ``ProjectionGraph`` (inside weights carried as self-loops). Every weight
+    and strength is an exact integer.
     """
     _require_weight(g)
     rng = random.Random(seed)
     m = float(g.total_weight)
-
-    # level-local adjacency (rebound per level, never written) plus self-loop weight
-    adj = g.rows()
-    loops = [0.0] * g.n_nodes
-    assignment = list(range(g.n_nodes))  # original node -> current supernode
+    level, loops = g, np.zeros(g.n_nodes, np.int64)  # each node's self-loop weight
+    assignment = np.arange(g.n_nodes)  # original node -> current supernode
 
     while True:
-        n = len(adj)
-        strength = [sum(ws) + 2.0 * loops[v] for v, (_nb, ws) in enumerate(adj)]
+        n, adj = level.n_nodes, level.rows()
+        strength = (level.strengths + 2 * loops).astype(float).tolist()
         com = list(range(n))
         com_tot = strength[:]
         moved_any = False
@@ -239,32 +239,22 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
                 com_tot[best_c] += strength[v]
                 com[v] = best_c
                 if best_c != cv:
-                    moved = True
-                    moved_any = True
+                    moved = moved_any = True
             if not moved:
                 break
-        if not moved_any:
+        if not moved_any:  # else a move emptied a community, so the next level is smaller
             break
-        # aggregate communities into supernodes, ordered by first occurrence
-        remap = {c: i for i, c in enumerate(dict.fromkeys(com))}
-        k = len(remap)
-        new_adj: list[dict[int, float]] = [dict() for _ in range(k)]
-        new_loops = [0.0] * k
-        for v in range(n):
-            cv = remap[com[v]]
-            new_loops[cv] += loops[v]
-            for u, w in zip(*adj[v]):
-                cu = remap[com[u]]
-                if cu == cv:
-                    if u > v:
-                        new_loops[cv] += w
-                else:
-                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-        assignment = [remap[com[s]] for s in assignment]
-        adj, loops = [(list(nb), list(nb.values())) for nb in new_adj], new_loops
-        if len(adj) == n:
-            break
-    return Partition.from_labels(g.nodes, assignment)
+        _, first, inverse = np.unique(com, return_index=True, return_inverse=True)
+        k, sup = len(first), np.argsort(np.argsort(first))[inverse]  # node -> supernode
+        a, b = sup[level.src], sup[level.dst]
+        inside = a == b  # both arcs of each inside edge
+        loops = (np.bincount(sup, loops, k)
+                 + np.bincount(a[inside], level.weights[inside], k) // 2).astype(np.int64)
+        cross = a < b  # one arc of each edge between supernodes; the graph sums repeats
+        level = ProjectionGraph(range(k),
+                                np.column_stack((a[cross], b[cross], level.weights[cross])))
+        assignment = sup[assignment]
+    return Partition.from_labels(g.nodes, assignment.tolist())
 
 
 def _transition_matrix(g: ProjectionGraph, s: np.ndarray) -> np.ndarray:

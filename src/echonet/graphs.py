@@ -79,7 +79,8 @@ class BipartiteGraph:
     def __init__(self, pages, user, page, action: str):
         self.pages: tuple[str, ...] = tuple(pages)
         self.action = action
-        user, page = np.asarray(user, np.intp), np.asarray(page, np.intp)
+        # arrays keep their int dtype, so int32 codes are not copied; lists become intp
+        user, page = (np.asarray(c, getattr(c, "dtype", np.intp)) for c in (user, page))
         shape = (int(user.max(initial=0)) + 1, max(len(self.pages), 1))
         self.user, self.page = distinct_rows((user, page), shape)
         self.user.flags.writeable = self.page.flags.writeable = False
@@ -97,11 +98,9 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
     if action not in ENGAGEMENT_ACTIONS:
         raise ValueError(f"action must be like or comment, got {action!r}")
     rows = d.action == ACTION_CODES[action]
-    shape = (len(d.user_table), len(d.page_table))
-    user, page = distinct_rows((d.user[rows], d.page[rows]), shape)
-    present = np.unique(d.page)
-    return BipartiteGraph(d.page_table[present].tolist(), user,
-                          np.searchsorted(present, page), action)
+    present = np.unique(d.page)  # page ids int32 like the user codes: the pair sort holds all rows
+    return BipartiteGraph(d.page_table[present].tolist(), d.user[rows],
+                          np.searchsorted(present, d.page[rows]).astype(np.int32), action)
 
 
 class ProjectionGraph:

@@ -501,6 +501,8 @@ def read_labels(stream) -> dict[str, str]:
         if len(row) != 2:
             raise ParseError(line_no, f"expected 2 columns, got {len(row)}")
         page, label = row[0].strip(), row[1].strip()
+        if not page or not label:
+            raise ParseError(line_no, f"{'label' if page else 'page_id'} must be non-empty")
         if page in out and out[page] != label:
             raise ParseError(line_no, f"conflicting label for page {page!r}")
         out[page] = label

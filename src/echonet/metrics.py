@@ -122,8 +122,7 @@ def standardize(values: list[int], what: str, community: str) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def user_engagement(d: Dataset, sides: dict[str, str],
-                    action: str = "like") -> list[UserEngagement]:
+def user_engagement(d: Dataset, sides: dict[str, str]) -> list[UserEngagement]:
     """Lifetime and activity per user, min-max standardized per community.
 
     Lifetime is the time between a user's latest and earliest liked post;
@@ -131,9 +130,9 @@ def user_engagement(d: Dataset, sides: dict[str, str],
     majority of their likes (ties: first side in sorted order). Communities
     with a constant measure get standardized values of 0, flagged.
     """
-    rows, side, names = d.on_sides(action, sides)
+    rows, side, names = d.on_sides("like", sides)
     if not len(rows):
-        raise ValueError(f"dataset has no {action} records on mapped pages")
+        raise ValueError("dataset has no like records on mapped pages")
     users, user = np.unique(d.user[rows], return_inverse=True)
     ts = d.ts[rows]
     first, last = np.full(len(users), ts.max()), np.full(len(users), ts.min())
@@ -151,13 +150,13 @@ def user_engagement(d: Dataset, sides: dict[str, str],
                     lifetime.tolist(), activity.tolist(), life_std.tolist(), act_std.tolist()))
 
 
-def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str, int]:
-    """Max distinct pages per window for each user with an action of the given
-    kind; windows (calendar years, months or ISO weeks) are keyed once per day.
+def pages_per_window(d: Dataset, window: str) -> dict[str, int]:
+    """Max distinct pages liked per window for each user with a like; windows
+    (calendar years, months or ISO weeks) are keyed once per day.
     """
     if window not in WINDOW_KEYS:
         raise ValueError(f"window must be one of {sorted(WINDOW_KEYS)}, got {window!r}")
-    rows = np.flatnonzero(d.action == ACTION_CODES[action])
+    rows = np.flatnonzero(d.action == ACTION_CODES["like"])
     windows, bins = day_bins(d.ts[rows], WINDOW_KEYS[window])
     n_users, n_pages = len(d.user_table), len(d.page_table)
     user, window, _ = distinct_rows((d.user[rows], windows, d.page[rows]),
@@ -170,10 +169,9 @@ def pages_per_window(d: Dataset, window: str, action: str = "like") -> dict[str,
                     np.maximum.reduceat(counts, first).tolist()))
 
 
-def community_page_stats(d: Dataset, sides: dict[str, str],
-                         action: str = "like") -> dict[str, tuple[float, float]]:
+def community_page_stats(d: Dataset, sides: dict[str, str]) -> dict[str, tuple[float, float]]:
     """Per community: (mean, sample SD) of distinct pages liked per user."""
-    rows, side, names = d.on_sides(action, sides)
+    rows, side, names = d.on_sides("like", sides)
     n_users, n_pages = len(d.user_table), len(d.page_table)
     side, user, _ = distinct_rows((side, d.user[rows], d.page[rows]),
                                   (len(names), n_users, n_pages))

@@ -153,11 +153,5 @@ def parse_quarter(label: str) -> tuple[int, int]:
 
 def quarter_range(first: tuple[int, int], last: tuple[int, int]) -> list[tuple[int, int]]:
     """Every quarter from first to last inclusive."""
-    out = []
-    y, q = first
-    while (y, q) <= last:
-        out.append((y, q))
-        q += 1
-        if q == 5:
-            y, q = y + 1, 1
-    return out
+    (y0, q0), (y1, q1) = first, last
+    return [(i // 4, i % 4 + 1) for i in range(4 * y0 + q0 - 1, 4 * y1 + q1)]

@@ -252,6 +252,68 @@ def test_louvain_improves_on_singletons():
         assert modularity(g, part) >= modularity(g, singles)
 
 
+def louvain_reference(g, seed):
+    """Louvain with each level's graph aggregated in Python dicts of floats:
+    the same local moves, shuffles and first-occurrence supernode numbering."""
+    rng, m = random.Random(seed), float(g.total_weight)
+    adj = [dict(zip(nb, ws)) for nb, ws in g.rows()]
+    loops, assignment = [0.0] * g.n_nodes, list(range(g.n_nodes))
+    while True:
+        n = len(adj)
+        strength = [sum(nb.values()) + 2.0 * loops[v] for v, nb in enumerate(adj)]
+        com, com_tot, moved_any, moved = list(range(n)), strength[:], False, True
+        while moved:
+            moved, order = False, list(range(n))
+            rng.shuffle(order)
+            for v in order:
+                cv = com[v]
+                w_to = {cv: 0.0}
+                for u, w in adj[v].items():
+                    w_to[com[u]] = w_to.get(com[u], 0.0) + w
+                com_tot[cv] -= strength[v]
+                best, best_gain = cv, w_to[cv] - com_tot[cv] * strength[v] / (2.0 * m)
+                for c in sorted(w_to):
+                    gain = w_to[c] - com_tot[c] * strength[v] / (2.0 * m)
+                    if c != cv and gain > best_gain:
+                        best, best_gain = c, gain
+                com_tot[best] += strength[v]
+                com[v] = best
+                moved = moved or best != cv
+            moved_any = moved_any or moved
+        if not moved_any:
+            return Partition.from_labels(g.nodes, assignment)
+        remap = {c: i for i, c in enumerate(dict.fromkeys(com))}
+        new_adj, new_loops = [{} for _ in remap], [0.0] * len(remap)
+        for v in range(n):
+            cv = remap[com[v]]
+            new_loops[cv] += loops[v]
+            for u, w in adj[v].items():
+                cu = remap[com[u]]
+                if cu != cv:
+                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+                elif u > v:
+                    new_loops[cv] += w
+        assignment = [remap[com[s]] for s in assignment]
+        adj, loops = new_adj, new_loops
+
+
+def test_louvain_matches_dict_aggregation_reference():
+    """Levels as ProjectionGraphs with int64 self-loops give the partitions of
+    a float dict aggregation, up to weights of 2**40 (sums stay below 2**53)."""
+    aggregated = 0  # graphs on which a level moved a node, so aggregation ran
+    for seed in range(120):
+        rng = random.Random(seed)
+        n, p = rng.randint(2, 50), rng.choice([0.1, 0.3, 0.7])
+        top = rng.choice([1, 2, 5, 1000, 2**40])
+        edges = [(i, j, rng.randint(1, top)) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p] or [(0, 1, top)]
+        g = ProjectionGraph([f"p{i:02d}" for i in range(n)], edges)
+        part = louvain(g, seed)
+        assert part == louvain_reference(g, seed)
+        aggregated += part.n_communities < n
+    assert aggregated > 100
+
+
 # ------------------------------------------------------------------- walktrap
 
 

@@ -349,6 +349,15 @@ def test_labels_round_trip():
     assert read_labels(write_labels(labels)) == labels
 
 
+@pytest.mark.parametrize("row, reason", [(",pro", "page_id must be non-empty"),
+                                         ("p2,", "label must be non-empty"),
+                                         (" , ", "page_id must be non-empty")])
+def test_labels_refuse_an_empty_page_or_label(row, reason):
+    with pytest.raises(ParseError) as exc:
+        read_labels(f"page_id,label\np1,pro\n{row}\np3,anti\n")
+    assert (exc.value.line_no, exc.value.reason) == (3, reason)
+
+
 # --- JSONL parse: the fast reader against the per-line path --------------------
 
 def is_canonical(line: str) -> bool:
@@ -585,6 +594,22 @@ def test_timestamp_oracle():
         assert year_of(ts) == (dt.year,)
         assert iso_week_of(ts) == tuple(dt.isocalendar()[:2])
     assert {iso_week_of(day_start(d))[1] for d in week_53} == {53}
+
+
+def test_quarter_range_oracle():
+    """Every (first, last) pair of quarters in 1998-2002 against the quarters
+    of the months between them, across year ends, single quarters and first
+    after last (empty)."""
+    quarters = [(y, q) for y in range(1998, 2003) for q in range(1, 5)]
+    months = [(y, m) for y in range(1998, 2003) for m in range(1, 13)]
+    for first in quarters:
+        for last in quarters:
+            expected = list(dict.fromkeys((y, (m - 1) // 3 + 1) for y, m in months
+                                          if first <= (y, (m - 1) // 3 + 1) <= last))
+            assert timebins.quarter_range(first, last) == expected
+    assert timebins.quarter_range((1999, 4), (2000, 1)) == [(1999, 4), (2000, 1)]
+    assert timebins.quarter_range((2001, 3), (2001, 3)) == [(2001, 3)]
+    assert timebins.quarter_range((2001, 3), (2001, 2)) == []
 
 
 def test_valid_lines_that_are_not_canonical_read_the_same():
