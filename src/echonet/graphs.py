@@ -76,9 +76,8 @@ class BipartiteGraph:
     read-only arrays.
     """
 
-    def __init__(self, pages, user, page, action: str):
+    def __init__(self, pages, user, page):
         self.pages: tuple[str, ...] = tuple(pages)
-        self.action = action
         # arrays keep their int dtype, so int32 codes are not copied; lists become intp
         user, page = (np.asarray(c, getattr(c, "dtype", np.intp)) for c in (user, page))
         shape = (int(user.max(initial=0)) + 1, max(len(self.pages), 1))
@@ -100,7 +99,7 @@ def build_bipartite(d: Dataset, action: str) -> BipartiteGraph:
     rows = d.action == ACTION_CODES[action]
     present = np.unique(d.page)  # page ids int32 like the user codes: the pair sort holds all rows
     return BipartiteGraph(d.page_table[present].tolist(), d.user[rows],
-                          np.searchsorted(present, d.page[rows]).astype(np.int32), action)
+                          np.searchsorted(present, d.page[rows]).astype(np.int32))
 
 
 class ProjectionGraph:
@@ -118,7 +117,6 @@ class ProjectionGraph:
         or a k×3 int array, in any order and orientation; a pair given more
         than once sums its weights."""
         self.nodes: tuple[str, ...] = tuple(nodes)
-        self.index = {n: i for i, n in enumerate(self.nodes)}
         i, j, w = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
         if (loop := i == j).any():
             raise ValueError(f"self-loop on {self.nodes[i[loop][0]]!r}")
@@ -157,7 +155,7 @@ class ProjectionGraph:
         return [(dst[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def weight(self, a: str, b: str) -> int:
-        i, j = self.index[a], self.index[b]
+        i, j = self.nodes.index(a), self.nodes.index(b)
         lo, hi = np.searchsorted(self.src, (i, i + 1))
         k = lo + np.searchsorted(self.dst[lo:hi], j)
         return int(self.weights[k]) if k < hi and self.dst[k] == j else 0

@@ -28,8 +28,6 @@ from .timebins import (
     format_timestamps,
     parse_date,
     parse_timestamp,
-    quarter_of,
-    quarter_range,
     read_timestamps,
 )
 
@@ -119,12 +117,6 @@ class Dataset:
         side = np.array(side_of, dtype=np.int64)[self.page]
         rows = np.flatnonzero((side >= 0) & (action is None or self.action == ACTION_CODES[action]))
         return rows, side[rows], names
-
-    def quarter_span(self) -> list[tuple[int, int]]:
-        """All calendar quarters between the first and last record, inclusive."""
-        if not len(self):
-            return []
-        return quarter_range(quarter_of(int(self.ts.min())), quarter_of(int(self.ts.max())))
 
 
 class _Columns:

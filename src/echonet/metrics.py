@@ -18,7 +18,7 @@ import numpy as np
 from .compare import DegenerateDataWarning
 from .graphs import Partition
 from .ingest import ACTION_CODES, Dataset, distinct_rows, run_starts
-from .timebins import WINDOW_KEYS, day_bins
+from .timebins import calendar_bins
 
 DEFAULT_MIN_ACTIONS = 10
 DEFAULT_BINS = 21
@@ -151,16 +151,16 @@ def user_engagement(d: Dataset, sides: dict[str, str]) -> list[UserEngagement]:
 
 
 def pages_per_window(d: Dataset, window: str) -> dict[str, int]:
-    """Max distinct pages liked per window for each user with a like; windows
-    (calendar years, months or ISO weeks) are keyed once per day.
-    """
-    if window not in WINDOW_KEYS:
-        raise ValueError(f"window must be one of {sorted(WINDOW_KEYS)}, got {window!r}")
+    """Max distinct pages liked per window (calendar year, month or ISO week)
+    for each user with a like."""
+    if window not in ("month", "week", "year"):
+        raise ValueError(f"window must be one of ['month', 'week', 'year'], got {window!r}")
     rows = np.flatnonzero(d.action == ACTION_CODES["like"])
-    windows, bins = day_bins(d.ts[rows], WINDOW_KEYS[window])
+    windows = calendar_bins(d.ts[rows], window)
+    windows -= windows.min(initial=0)  # bins before 1970 are negative
     n_users, n_pages = len(d.user_table), len(d.page_table)
     user, window, _ = distinct_rows((d.user[rows], windows, d.page[rows]),
-                                    (n_users, len(bins), n_pages))
+                                    (n_users, int(windows.max(initial=0)) + 1, n_pages))
     starts = np.flatnonzero(run_starts(user, window))  # a run of pages per (user, window)
     counts = np.diff(starts, append=len(user))
     user = user[starts]

@@ -18,7 +18,7 @@ from .community import ALGORITHMS, derived_seed
 from .compare import DegenerateDataWarning
 from .graphs import BipartiteGraph, project
 from .ingest import ACTION_CODES, ACTION_TABLE, Dataset, distinct_rows
-from .timebins import day_bins, quarter_of
+from .timebins import calendar_bins, quarter_at
 
 MEASURES = (
     "active_pages_post",
@@ -68,6 +68,15 @@ class AnovaTable:
     df_error: int
 
 
+def _quarters(d: Dataset, rows):
+    """Each row's quarter as an index into the quarters from the first record
+    to the last, inclusive, and those quarters."""
+    first, last = (calendar_bins([d.ts.min(), d.ts.max()], "quarter").tolist()
+                   if len(d) else (0, -1))
+    quarters = [quarter_at(i) for i in range(first, last + 1)]
+    return calendar_bins(d.ts[rows], "quarter") - first, quarters
+
+
 def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     """Active-page and active-user counts per (quarter, community, measure).
 
@@ -77,8 +86,7 @@ def activity_series(d: Dataset, labels: dict[str, str]) -> list[SeriesPoint]:
     dataset's span is emitted, zeros included.
     """
     rows, side, communities = d.on_sides(None, labels)
-    span = d.quarter_span()
-    quarter, _ = day_bins(d.ts[rows], quarter_of, span)
+    quarter, span = _quarters(d, rows)
     shape = (len(span), len(communities), len(ACTION_TABLE))
     cells = np.ravel_multi_index((quarter, side, d.action[rows]), shape)
     active = {}  # "pages" or "users" -> distinct count per (quarter, community, action)
@@ -107,8 +115,7 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
     rows, side, communities = d.on_sides(action, labels)
-    span = d.quarter_span()
-    quarter, _ = day_bins(d.ts[rows], quarter_of, span)
+    quarter, span = _quarters(d, rows)
     shape = (len(communities) * len(span), len(d.user_table), len(d.page_table))
     group, user, page = distinct_rows(
         (side * len(span) + quarter, d.user[rows], d.page[rows]), shape)
@@ -125,7 +132,7 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
                                              ("degenerate",)))
                 continue
             g = project(BipartiteGraph(d.page_table[pages].tolist(), user[start:stop],
-                                       np.searchsorted(pages, page[start:stop]), action))
+                                       np.searchsorted(pages, page[start:stop])))
             for algo in algorithms:
                 if g.total_weight == 0:
                     largest = 1  # no co-actors: every page is its own community

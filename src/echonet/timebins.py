@@ -1,9 +1,9 @@
 """Calendar helpers shared by ingestion and the temporal analyses, and the only
 reader and writer of the canonical timestamp ``YYYY-MM-DDTHH:MM:SSZ``.
 
-All instants are UTC epoch seconds (ints). Calendar bins are tuples so they
-sort naturally: quarters are (year, 1..4), months (year, 1..12), ISO weeks
-(iso_year, iso_week).
+All instants are UTC epoch seconds (ints). A calendar bin is an int64 count
+of years, quarters, months or ISO weeks since the one holding 1970-01-01, so
+bins sort in time order; quarter_at turns a quarter bin into (year, 1..4).
 """
 
 from __future__ import annotations
@@ -101,43 +101,20 @@ MIN_TS = day_start(date(1000, 1, 1))
 MAX_TS = day_end(date(9999, 12, 31))
 
 
-def _date(ts: int) -> date:
-    """The UTC date of an instant."""
-    return date.fromordinal(ts // SECONDS_PER_DAY + _EPOCH_DAY)
+def calendar_bins(ts, window: str) -> np.ndarray:
+    """Each instant's calendar ``window`` ("year", "quarter", "month" or
+    "week", ISO weeks running Monday to Sunday) as the int64 number of such
+    windows since the one holding 1970-01-01."""
+    ts = np.asarray(ts, np.int64)
+    if window == "week":
+        return (ts // SECONDS_PER_DAY + 3) // 7  # 1970-01-01 was a Thursday
+    months = ts.view("M8[s]").astype("M8[M]").view(np.int64)
+    return months // {"year": 12, "quarter": 3, "month": 1}[window]
 
 
-def quarter_of(ts: int) -> tuple[int, int]:
-    d = _date(ts)
-    return (d.year, (d.month - 1) // 3 + 1)
-
-
-def month_of(ts: int) -> tuple[int, int]:
-    d = _date(ts)
-    return (d.year, d.month)
-
-
-def year_of(ts: int) -> tuple[int]:
-    return (_date(ts).year,)
-
-
-def iso_week_of(ts: int) -> tuple[int, int]:
-    iso = _date(ts).isocalendar()
-    return (iso[0], iso[1])
-
-
-WINDOW_KEYS = {"year": year_of, "month": month_of, "week": iso_week_of}
-
-
-def day_bins(ts, key_of, bins=None) -> tuple[np.ndarray, list[tuple]]:
-    """Each instant's calendar bin as an index into ``bins`` (by default the
-    sorted distinct bins of ``ts``), and the bins. ``key_of`` (quarter, month,
-    year or ISO week, on which the UTC day alone decides) is called once per
-    distinct day of the int64 ``ts``."""
-    days, inverse = np.unique(ts // SECONDS_PER_DAY, return_inverse=True)
-    keys = [key_of(day * SECONDS_PER_DAY) for day in days.tolist()]
-    bins = sorted(set(keys)) if bins is None else bins
-    index = {key: i for i, key in enumerate(bins)}
-    return np.array([index[key] for key in keys], dtype=np.int64)[inverse], bins
+def quarter_at(i: int) -> tuple[int, int]:
+    """The (year, quarter) of quarter bin ``i``."""
+    return (1970 + i // 4, i % 4 + 1)
 
 
 def quarter_label(q: tuple[int, int]) -> str:
@@ -149,9 +126,3 @@ def parse_quarter(label: str) -> tuple[int, int]:
     if not m:
         raise ValueError(f"bad quarter {label!r}, expected e.g. 2014Q4")
     return (int(m.group(1)), int(m.group(2)))
-
-
-def quarter_range(first: tuple[int, int], last: tuple[int, int]) -> list[tuple[int, int]]:
-    """Every quarter from first to last inclusive."""
-    (y0, q0), (y1, q1) = first, last
-    return [(i // 4, i % 4 + 1) for i in range(4 * y0 + q0 - 1, 4 * y1 + q1)]

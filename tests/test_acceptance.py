@@ -36,7 +36,7 @@ def test_criterion_01_projection_oracle():
         pages = [f"p{i}" for i in range(n_pages)]
         edges = [(u, p) for u in range(n_users) for p in range(n_pages)
                  if rng.random() < 0.3]
-        b = BipartiteGraph(pages, [u for u, _p in edges], [p for _u, p in edges], "like")
+        b = BipartiteGraph(pages, [u for u, _p in edges], [p for _u, p in edges])
         g = project(b)
         liked = {p: {u for u, pp in edges if pp == p} for p in range(n_pages)}
         for a, c in itertools.combinations(range(n_pages), 2):

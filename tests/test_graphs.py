@@ -30,28 +30,28 @@ def test_multiplicity_collapsed():
 
 def test_repeated_pairs_collapse():
     user, page = [2, 1, 2, 1, 1], [1, 2, 1, 0, 2]
-    b = BipartiteGraph(["a", "b", "c"], user, page, "like")
+    b = BipartiteGraph(["a", "b", "c"], user, page)
     assert b.user.tolist() == [1, 1, 2]
     assert b.page.tolist() == [0, 2, 1] and b.n_edges == 3
 
 
 def test_pages_without_pairs_stay_nodes():
-    b = BipartiteGraph(["a", "b", "c", "d"], np.array([1, 2]), np.array([1, 1]), "comment")
-    assert b.pages == ("a", "b", "c", "d") and b.action == "comment"
+    b = BipartiteGraph(["a", "b", "c", "d"], np.array([1, 2]), np.array([1, 1]))
+    assert b.pages == ("a", "b", "c", "d")
     assert b.page.tolist() == [1, 1]
     g = project(b)
     assert g.nodes == b.pages and g.n_edges == 0
 
 
 def test_users_sorted_and_only_those_with_pairs():
-    b = BipartiteGraph(["p", "q"], [10, 2, 1, 2], [0, 0, 1, 1], "like")
+    b = BipartiteGraph(["p", "q"], [10, 2, 1, 2], [0, 0, 1, 1])
     assert b.user.tolist() == [1, 2, 2, 10]
     assert b.page.tolist() == [1, 0, 1, 0]
-    assert BipartiteGraph(["p", "q"], [], [], "like").n_edges == 0
+    assert BipartiteGraph(["p", "q"], [], []).n_edges == 0
 
 
 def test_bipartite_graph_is_read_only():
-    b = BipartiteGraph(["p", "q"], [0, 1], [1, 0], "like")
+    b = BipartiteGraph(["p", "q"], [0, 1], [1, 0])
     for column in (b.user, b.page):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
@@ -146,7 +146,7 @@ def random_bipartite(rng, n_pages, n_users):
     repeats = [pairs[i] for i in rng.integers(0, len(pairs), len(pairs) // 3)] if pairs else []
     given = pairs + repeats
     rng.shuffle(given)
-    return BipartiteGraph(pages, [u for u, _p in given], [p for _u, p in given], "like"), set(pairs)
+    return BipartiteGraph(pages, [u for u, _p in given], [p for _u, p in given]), set(pairs)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -181,7 +181,7 @@ def test_project_adds_user_blocks_exactly():
     n_pages, n_users = 1000, 700
     user = np.repeat(np.arange(n_users), 12)
     page = (user // 5 + rng.integers(0, 150, len(user))) % n_pages
-    g = project(BipartiteGraph([f"p{i:04d}" for i in range(n_pages)], 3 * user, page, "like"))
+    g = project(BipartiteGraph([f"p{i:04d}" for i in range(n_pages)], 3 * user, page))
     incidence = np.zeros((n_users, n_pages))
     incidence[user, page] = 1
     common = (incidence.T @ incidence).astype(np.int64)  # exact: sums of 0/1 below 2**53

@@ -26,14 +26,12 @@ from echonet.synth import SynthConfig, generate
 from echonet.timebins import (
     MAX_TS,
     MIN_TS,
+    calendar_bins,
     day_start,
     format_timestamps,
-    iso_week_of,
-    month_of,
     parse_timestamp,
-    quarter_of,
+    quarter_at,
     read_timestamps,
-    year_of,
 )
 
 from conftest import dataset, random_dataset, rec
@@ -586,30 +584,20 @@ def test_timestamp_oracle():
     instants = [MIN_TS, MAX_TS, -1, 0] + [day_start(d) + s for d in week_53
                                           for s in (0, 86399)]
     instants += [rng.randint(MIN_TS, MAX_TS) for _ in range(20_000)]
-    for ts, stamp in zip(instants, format_timestamps(instants)):
-        dt = datetime.fromtimestamp(ts, tz=timezone.utc)
+    instants.sort()
+    dts = [datetime.fromtimestamp(ts, tz=timezone.utc) for ts in instants]
+    for ts, dt, stamp in zip(instants, dts, format_timestamps(instants)):
         assert stamp == format_timestamps([ts])[0] == dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-        assert quarter_of(ts) == (dt.year, (dt.month - 1) // 3 + 1)
-        assert month_of(ts) == (dt.year, dt.month)
-        assert year_of(ts) == (dt.year,)
-        assert iso_week_of(ts) == tuple(dt.isocalendar()[:2])
-    assert {iso_week_of(day_start(d))[1] for d in week_53} == {53}
-
-
-def test_quarter_range_oracle():
-    """Every (first, last) pair of quarters in 1998-2002 against the quarters
-    of the months between them, across year ends, single quarters and first
-    after last (empty)."""
-    quarters = [(y, q) for y in range(1998, 2003) for q in range(1, 5)]
-    months = [(y, m) for y in range(1998, 2003) for m in range(1, 13)]
-    for first in quarters:
-        for last in quarters:
-            expected = list(dict.fromkeys((y, (m - 1) // 3 + 1) for y, m in months
-                                          if first <= (y, (m - 1) // 3 + 1) <= last))
-            assert timebins.quarter_range(first, last) == expected
-    assert timebins.quarter_range((1999, 4), (2000, 1)) == [(1999, 4), (2000, 1)]
-    assert timebins.quarter_range((2001, 3), (2001, 3)) == [(2001, 3)]
-    assert timebins.quarter_range((2001, 3), (2001, 2)) == []
+    keys = {"year": lambda dt: dt.year, "quarter": lambda dt: (dt.year, (dt.month - 1) // 3 + 1),
+            "month": lambda dt: (dt.year, dt.month), "week": lambda dt: dt.isocalendar()[:2]}
+    for window, key_of in keys.items():
+        bins = calendar_bins(instants, window).tolist()
+        assert all(a <= b for a, b in zip(bins, bins[1:])), window  # time order
+        pairs = set(zip(bins, map(key_of, dts)))  # equal bins exactly when keys are equal
+        assert len(pairs) == len({b for b, _ in pairs}) == len({k for _, k in pairs}), window
+    quarters = calendar_bins(instants, "quarter").tolist()
+    assert [quarter_at(q) for q in quarters] == [keys["quarter"](dt) for dt in dts]
+    assert {d.isocalendar()[1] for d in week_53} == {53}
 
 
 def test_valid_lines_that_are_not_canonical_read_the_same():
@@ -743,18 +731,14 @@ def test_labels_field_over_size_limit():
 # --- the coded columns against the records they code -----------------------------
 
 def assert_codes_records(d: Dataset, records, skipped: int = 0):
-    """``d`` holds ``records`` in order: sorted tables, and the sizes, sets and
-    span that the records give."""
+    """``d`` holds ``records`` in order: sorted tables, and the sizes and sets
+    that the records give."""
     for table in d.tables:
         assert list(table) == sorted(set(table))
     assert d.records == tuple(records) and all(type(r.ts) is int for r in d.records)
     assert (len(d), d.skipped_lines) == (len(records), skipped)
     assert d.pages == {r.page for r in records}
     assert d.users == {r.user for r in records if r.action != "post"}
-    stamps = [r.ts for r in records]
-    assert d.quarter_span() == (timebins.quarter_range(quarter_of(min(stamps)),
-                                                       quarter_of(max(stamps)))
-                                if stamps else [])
 
 
 @pytest.mark.parametrize("seed", range(3))

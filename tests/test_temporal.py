@@ -1,4 +1,5 @@
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.integrate import quad
 from echonet import temporal
 from echonet.compare import DegenerateDataWarning
 from echonet.graphs import project
-from echonet.metrics import pages_per_window
 from echonet.temporal import (
     activity_series,
     cohesion_series,
@@ -15,7 +15,6 @@ from echonet.temporal import (
     manova_pillai,
     two_way_anova,
 )
-from echonet.timebins import SECONDS_PER_DAY, WINDOW_KEYS, iso_week_of, quarter_of
 
 from conftest import dataset, random_dataset, rec
 
@@ -54,39 +53,41 @@ def test_series_covers_full_quarter_range_with_zeros():
     assert by_key[((2013, 2), "active_pages_like")] == 0
 
 
+def quarter_of(ts):
+    t = datetime.fromtimestamp(ts, tz=timezone.utc)
+    return (t.year, (t.month - 1) // 3 + 1)
+
+
+def test_series_quarters_oracle():
+    """The quarters from the first record to the last, on any page, against the
+    quarters of the months between them: across year ends, a single quarter,
+    before 1970."""
+    months = [(y, m) for y in range(1966, 1973) for m in range(1, 13)]
+    for first in range(0, len(months), 5):
+        for last in range(first, len(months), 7):
+            d = dataset(rec("u1", "p1", "like", "%04d-%02d-28" % months[first]),
+                        rec("u2", "p2", "like", "%04d-%02d-01" % months[last]))
+            quarters = dict.fromkeys((y, (m - 1) // 3 + 1) for y, m in months[first:last + 1])
+            assert [s.quarter for s in activity_series(d, {"p1": "pro"})[::5]] == list(quarters)
+    assert activity_series(dataset(), {"p1": "pro"}) == []
+
+
 def test_series_matches_brute_force_group_by():
-    d = random_dataset(200, seed=23)
-    labels = {p: ("pro" if p < "p04" else "anti") for p in d.pages}
-    series = activity_series(d, labels)
-    got = {(s.quarter, s.community, s.measure): s.count for s in series}
-    for (q, side, measure), count in got.items():
-        entity, action = measure.split("_")[1], measure.split("_")[2]
-        relevant = [r for r in d.records
-                    if quarter_of(r.ts) == q and labels.get(r.page) == side
-                    and r.action == action]
-        if entity == "pages":
-            assert count == len({r.page for r in relevant})
-        else:
-            assert count == len({r.user for r in relevant})
-
-
-def test_calendar_bins_are_computed_once_per_day(monkeypatch):
-    d = random_dataset(600, seed=5, ts_range=("2014-01-01T00:00:00Z",
-                                              "2014-03-31T23:59:59Z"))
-    labels = {p: ("pro" if p < "p04" else "anti") for p in d.pages}
-    days = []
-
-    def counting(key_of):
-        return lambda ts: days.append(ts // SECONDS_PER_DAY) or key_of(ts)
-
-    monkeypatch.setattr(temporal, "quarter_of", counting(quarter_of))
-    monkeypatch.setitem(WINDOW_KEYS, "week", counting(iso_week_of))
-    for run in (lambda: activity_series(d, labels),
-                lambda: cohesion_series(d, labels, algorithms=("labelprop",)),
-                lambda: pages_per_window(d, "week")):
-        days.clear()
-        run()
-        assert 0 < len(days) == len(set(days)) <= 90
+    for ts_range in (("2012-01-01T00:00:00Z", "2016-12-31T23:59:59Z"),
+                     ("1968-01-01T00:00:00Z", "1971-12-31T23:59:59Z")):  # bins below 0
+        d = random_dataset(200, seed=23, ts_range=ts_range)
+        labels = {p: ("pro" if p < "p04" else "anti") for p in d.pages}
+        series = activity_series(d, labels)
+        got = {(s.quarter, s.community, s.measure): s.count for s in series}
+        for (q, side, measure), count in got.items():
+            entity, action = measure.split("_")[1], measure.split("_")[2]
+            relevant = [r for r in d.records
+                        if quarter_of(r.ts) == q and labels.get(r.page) == side
+                        and r.action == action]
+            if entity == "pages":
+                assert count == len({r.page for r in relevant})
+            else:
+                assert count == len({r.user for r in relevant})
 
 
 # ------------------------------------------------------------------- cohesion
@@ -133,8 +134,8 @@ def test_cumulative_cohesion_collapses_repeated_pairs(monkeypatch):
     graphs = []
     bipartite = temporal.BipartiteGraph
 
-    def spy(pages, user, page, action):
-        graphs.append((len(user), bipartite(pages, user, page, action)))
+    def spy(pages, user, page):
+        graphs.append((len(user), bipartite(pages, user, page)))
         return graphs[-1][1]
 
     monkeypatch.setattr(temporal, "BipartiteGraph", spy)
