@@ -60,7 +60,7 @@ from .temporal import (
     manova_pillai,
     two_way_anova,
 )
-from .timebins import parse_date, parse_quarter, quarter_label
+from .timebins import parse_quarter, quarter_label
 
 DV_ACTION = {"posts": "post", "likes": "like", "comments": "comment"}
 
@@ -197,7 +197,7 @@ def cmd_synth(args) -> list[tuple[str, str | Iterable[str]]]:
         actions_per_user=actions,
         comment_fraction=args.comment_fraction,
         posts_per_page=args.posts_per_page,
-        time_range=(parse_date(args.date_from), parse_date(args.date_to)),
+        time_range=(args.date_from, args.date_to),
         seed=derived_seed(args.seed, "synth"),
         sub_blocks=sub_blocks,
     )
@@ -210,8 +210,7 @@ def cmd_synth(args) -> list[tuple[str, str | Iterable[str]]]:
 
 def cmd_ingest(args, d: Dataset) -> list[tuple[str, Iterable[str]]]:
     filtered = filter_dataset(d, min_posts=args.min_posts,
-                              date_range=(parse_date(args.date_from),
-                                          parse_date(args.date_to)))
+                              date_range=(args.date_from, args.date_to))
     return [(args.out, serialize_chunks(filtered))]
 
 
@@ -397,14 +396,12 @@ def cmd_anova(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]
         epoch = "before" if q <= split else "after"
         obs.append((community, epoch, tuple(values[m] for m in measures)))
 
-    rows = []
     if len(measures) == 1:
         table = two_way_anova([(a, b, v[0]) for a, b, v in obs])
-        for res in (table.factor_a, table.factor_b, table.interaction):
-            rows.append((res.term, res.F, res.df1, res.df2, res.p, res.partial_eta2))
+        results = (table.factor_a, table.factor_b, table.interaction)
     else:
-        res = manova_pillai(obs)
-        rows.append((res.term, res.F, res.df1, res.df2, res.p, res.partial_eta2))
+        results = (manova_pillai(obs),)
+    rows = [(r.term, r.F, r.df1, r.df2, r.p, r.partial_eta2) for r in results]
     return [(args.out, csv_text(["term", "F", "df1", "df2", "p", "partial_eta2"], rows))]
 
 
@@ -527,6 +524,9 @@ def main(argv=None) -> int:
         _run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation; a bare one has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

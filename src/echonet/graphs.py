@@ -57,6 +57,11 @@ class Partition:
             out[lab].append(node)
         return out
 
+    def by_size(self) -> list[list[str]]:
+        """The communities as node lists, largest first; a tie goes to the
+        community holding the smallest node."""
+        return sorted(self.communities(), key=lambda c: (-len(c), min(c)))
+
     def sizes(self) -> list[int]:
         counts = [0] * self.n_communities
         for lab in self.labels:
@@ -202,30 +207,13 @@ def project(b: BipartiteGraph) -> ProjectionGraph:
 
 
 def connected_components(g: ProjectionGraph) -> Partition:
-    """Components of the positive-weight edge relation.
+    """Components of the positive-weight edge relation, labelled by
+    ``scipy.sparse.csgraph`` and numbered in ``Partition.by_size`` order."""
+    from scipy.sparse import csr_array  # imported here: no CLI stage needs it
+    from scipy.sparse.csgraph import connected_components as label_components
 
-    Component ids are assigned in decreasing size order, breaking ties by the
-    smallest page id contained.
-    """
-    n, rows = g.n_nodes, g.rows()
-    comp = [-1] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        cid = len(comps)
-        stack = [start]
-        comp[start] = cid
-        members = [start]
-        while stack:
-            v = stack.pop()
-            for nb in rows[v][0]:
-                if comp[nb] < 0:
-                    comp[nb] = cid
-                    members.append(nb)
-                    stack.append(nb)
-        comps.append(members)
-    order = sorted(range(len(comps)),
-                   key=lambda c: (-len(comps[c]), min(g.nodes[v] for v in comps[c])))
-    rank = {c: i for i, c in enumerate(order)}
-    return Partition(g.nodes, tuple(rank[comp[v]] for v in range(n)), len(comps))
+    arcs = csr_array((g.weights, (g.src, g.dst)), shape=(g.n_nodes,) * 2)
+    _, labels = label_components(arcs, directed=False)
+    ranked = Partition.from_labels(g.nodes, labels.tolist()).by_size()
+    comp = {v: i for i, members in enumerate(ranked) for v in members}
+    return Partition(g.nodes, tuple(comp[v] for v in g.nodes), len(ranked))

@@ -23,10 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .timebins import (
-    day_end,
-    day_start,
     format_timestamps,
-    parse_date,
+    instant_range,
     parse_timestamp,
     read_timestamps,
 )
@@ -42,7 +40,7 @@ DEFAULT_MIN_POSTS = 10
 DEFAULT_RANGE = (date(2010, 1, 1), date(2017, 5, 31))
 
 CSV_HEADER = ["user", "page", "post", "action", "ts"]
-LABELS = ("pro", "anti")
+LABELS = ("pro", "anti")  # the two sides: summary rows and synth's planted labels
 
 
 class ParseError(ValueError):
@@ -412,10 +410,8 @@ def filter_dataset(d: Dataset, min_posts: int = DEFAULT_MIN_POSTS,
     """
     if min_posts < 0:
         raise ValueError(f"min_posts must be non-negative, got {min_posts}")
-    start, end = parse_date(date_range[0]), parse_date(date_range[1])
-    if start > end:
-        raise ValueError(f"empty date range {start}..{end}")
-    keep = (d.ts >= day_start(start)) & (d.ts <= day_end(end))
+    first, last = instant_range(date_range)
+    keep = (d.ts >= first) & (d.ts <= last)
     posts = np.bincount(d.page[keep & (d.action == POST)], minlength=len(d.page_table))
     return d.take(keep & (posts[d.page] >= min_posts))
 

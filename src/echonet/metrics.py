@@ -75,13 +75,8 @@ def two_largest_sides(p: Partition) -> dict[str, str]:
     """
     if p.n_communities < 2:
         raise ValueError("partition has fewer than 2 communities")
-    comms = p.communities()
-    order = sorted(range(len(comms)), key=lambda c: (-len(comms[c]), min(comms[c])))
-    sides: dict[str, str] = {}
-    for name, c in zip(("c1", "c2"), order[:2]):
-        for page in comms[c]:
-            sides[page] = name
-    return sides
+    first, second = p.by_size()[:2]
+    return {**dict.fromkeys(first, "c1"), **dict.fromkeys(second, "c2")}
 
 
 def user_polarization(d: Dataset, sides: dict[str, str], action: str = "like",

@@ -14,10 +14,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .ingest import ACTION_CODES, DEFAULT_RANGE, Dataset, sort_codes
-from .timebins import day_end, day_start, parse_date
-
-SIDES = ("pro", "anti")
+from .ingest import ACTION_CODES, DEFAULT_RANGE, LABELS, Dataset, sort_codes
+from .timebins import MIN_TS, instant_range
 
 # disjoint stream namespaces inside the 128-bit Philox key space
 _PAGE_STREAM = 1 << 40
@@ -57,13 +55,13 @@ class SynthConfig:
             for n in counts:
                 if not 0 <= n <= cap:
                     raise ValueError(f"{name} must be in 0..{cap}, got {n}")
-        for si, (side, users, pages) in enumerate(zip(SIDES, self.users_per_side,
+        for si, (side, users, pages) in enumerate(zip(LABELS, self.users_per_side,
                                                       self.pages_per_side)):
             if users > 0 and pages == 0:
                 raise ValueError(f"side {side!r} has {users} users but no pages")
             if users > 0 and self.p_out > 0 and self.pages_per_side[1 - si] == 0:
                 raise ValueError(f"side {side!r} has {users} users and p_out {self.p_out}, "
-                                 f"but side {SIDES[1 - si]!r} has no pages")
+                                 f"but side {LABELS[1 - si]!r} has no pages")
         kind, *params = self.actions_per_user
         if kind == "fixed":
             if len(params) != 1 or not 0 <= params[0] <= ACTIVITY_CAP:
@@ -81,15 +79,14 @@ class SynthConfig:
                              f"actions, {ACTIVITY_CAP} per lognormal draw), more than "
                              f"the cap of {RECORDS_CAP}")
         if self.sub_blocks is not None:
-            for side, blocks, pages in zip(SIDES, self.sub_blocks, self.pages_per_side):
+            for side, blocks, pages in zip(LABELS, self.sub_blocks, self.pages_per_side):
                 if min(blocks) <= 0 or sum(blocks) != pages:
                     raise ValueError(
                         f"{side} sub_blocks {blocks} must be positive and sum to {pages}")
-        start, end = parse_date(self.time_range[0]), parse_date(self.time_range[1])
-        if start > end:
-            raise ValueError(f"empty time range {start}..{end}")
-        if start.year < 1000:  # the years canonical timestamps can hold
-            raise ValueError(f"time range {start}..{end} is outside 1000-01-01..9999-12-31")
+        first, _ = instant_range(self.time_range)
+        if first < MIN_TS:  # the years canonical timestamps can hold
+            raise ValueError(f"time range {self.time_range[0]}..{self.time_range[1]} is "
+                             "outside 1000-01-01..9999-12-31")
 
 
 @dataclass(frozen=True)
@@ -128,12 +125,11 @@ def generate(config: SynthConfig):
     ``comment_fraction``, likes otherwise.
     """
     config.validate()
-    t0 = day_start(parse_date(config.time_range[0]))
-    t1 = day_end(parse_date(config.time_range[1]))
+    t0, t1 = instant_range(config.time_range)
 
     pages_by_side = {side: [f"{side}_p{i:04d}" for i in range(n_pages)]
-                     for side, n_pages in zip(SIDES, config.pages_per_side)}
-    page_side = {page: side for side in SIDES for page in pages_by_side[side]}
+                     for side, n_pages in zip(LABELS, config.pages_per_side)}
+    page_side = {page: side for side in LABELS for page in pages_by_side[side]}
     pages = list(page_side)  # a page's code here is its index, as publisher and as page
     user_side: dict[str, str] = {}
     # what actions target on a page: its posts, or the "_s0" post if it has none
@@ -151,7 +147,7 @@ def generate(config: SynthConfig):
 
     # per-user action streams, numbered in the order users are made
     first_page = (0, config.pages_per_side[0])
-    for si, side in enumerate(SIDES):
+    for si, side in enumerate(LABELS):
         other = (first_page[1 - si], config.pages_per_side[1 - si])
         blocks = config.sub_blocks[si] if config.sub_blocks else (config.pages_per_side[si],)
         ends = list(accumulate(blocks))

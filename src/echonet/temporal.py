@@ -162,8 +162,13 @@ def f_tail(F: float, df1: int, df2: int) -> float:
     return float(betainc(df2 / 2.0, df1 / 2.0, x))
 
 
-def _design(obs, n_values: int):
-    """Validate the 2x2 layout; return full, additive, no-a and no-b models and values."""
+def _fit(obs, n_values: int):
+    """Validate the 2x2 layout of (sentiment, epoch, values) rows and fit it.
+
+    Returns the values, a mask of the dependent variables constant within
+    every design cell, and the residual cross-product matrices of the full,
+    additive, no-sentiment and no-epoch models.
+    """
     rows = list(obs)
     if not rows:
         raise ValueError("no observations")
@@ -171,13 +176,12 @@ def _design(obs, n_values: int):
     b_levels = sorted({r[1] for r in rows})
     if len(a_levels) != 2 or len(b_levels) != 2:
         raise ValueError(f"need exactly 2 levels per factor, got {a_levels} x {b_levels}")
-    cells = {(r[0], r[1]) for r in rows}
-    for al in a_levels:
-        for bl in b_levels:
-            if (al, bl) not in cells:
-                raise ValueError(f"empty design cell ({al!r}, {bl!r})")
     a = np.array([1.0 if r[0] == a_levels[1] else -1.0 for r in rows])
     b = np.array([1.0 if r[1] == b_levels[1] else -1.0 for r in rows])
+    cell = 2 * (a > 0) + (b > 0)  # (a_levels[cell // 2], b_levels[cell % 2])
+    if (empty := np.bincount(cell, minlength=4) == 0).any():
+        k = int(np.argmax(empty))
+        raise ValueError(f"empty design cell ({a_levels[k // 2]!r}, {b_levels[k % 2]!r})")
     vals = []
     for r in rows:
         v = r[2]
@@ -185,16 +189,17 @@ def _design(obs, n_values: int):
         if len(v) != n_values:
             raise ValueError(f"expected {n_values} dependent values, got {len(v)}")
         vals.append(v)
-    one = np.ones(len(rows))
-    return (np.column_stack([one, a, b, a * b]), np.column_stack([one, a, b]),
-            np.column_stack([one, b]), np.column_stack([one, a]), np.array(vals))
+    if len(rows) < 5:
+        raise ValueError(f"need at least 5 observations, got {len(rows)}")
+    Y = np.array(vals)
+    constant = np.all([np.ptp(Y[cell == c], axis=0) == 0 for c in range(4)], axis=0)
 
+    def rss(*columns):
+        X = np.column_stack([np.ones(len(rows)), *columns])
+        resid = Y - X @ np.linalg.lstsq(X, Y, rcond=None)[0]
+        return resid.T @ resid
 
-def _rss_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Residual cross-product matrix of Y regressed on X."""
-    beta, *_ = np.linalg.lstsq(X, Y, rcond=None)
-    resid = Y - X @ beta
-    return resid.T @ resid
+    return Y, constant, [rss(a, b, a * b), rss(a, b), rss(b), rss(a)]
 
 
 def two_way_anova(obs) -> AnovaTable:
@@ -203,12 +208,13 @@ def two_way_anova(obs) -> AnovaTable:
     ``obs`` is an iterable of (sentiment, epoch, value). Returns the
     interaction together with both main effects; the interaction has
     df1 = 1 and df2 = N - 4. Constant data yields F = 0, p = 1, flagged.
+    When every design cell is constant the error is zero: an effect whose sum
+    of squares is at most 1e-12 of the total is then zero (F = 0, p = 1) and
+    any other has F = inf, p = 0, all three flagged ``zero_error``.
     """
-    full, additive, no_a, no_b, Y = _design(obs, 1)
+    Y, constant, fits = _fit(obs, 1)
     y = Y[:, 0]
     n = len(y)
-    if n < 5:
-        raise ValueError(f"need at least 5 observations, got {n}")
     ss_total = float(np.sum((y - y.mean()) ** 2))
     df_error = n - 4
     if ss_total == 0.0:
@@ -218,17 +224,18 @@ def two_way_anova(obs) -> AnovaTable:
         return AnovaTable(zero("sentiment", 1), zero("epoch", 1),
                           zero("interaction", 1), 0.0, df_error)
 
-    rss = lambda X: float(_rss_matrix(X, y[:, None])[0, 0])
-    sse = rss(full)
-    rss_additive = rss(additive)
-    ss_ab = rss_additive - sse
-    ss_a = rss(no_a) - rss_additive
-    ss_b = rss(no_b) - rss_additive
+    rss_full, rss_additive, rss_no_a, rss_no_b = (float(m[0, 0]) for m in fits)
+    ss_ab = rss_additive - rss_full
+    ss_a = rss_no_a - rss_additive
+    ss_b = rss_no_b - rss_additive
+    zero_error = bool(constant[0])  # from the data, as lstsq leaves rounding residue
+    sse = 0.0 if zero_error else rss_full
     mse = sse / df_error
 
     def result(term: str, ss: float) -> AnovaResult:
         ss = max(ss, 0.0)
-        if mse == 0.0:
+        if zero_error:
+            ss = ss if ss > 1e-12 * ss_total else 0.0
             f = math.inf if ss > 0 else 0.0
             flags = ("zero_error",)
         else:
@@ -248,17 +255,14 @@ def manova_pillai(obs) -> AnovaResult:
     and error cross-product matrices come from the full and interaction-free
     linear models; with p dependent variables and one hypothesis df the F
     approximation has df1 = p and df2 = N - 3 - p. With a single dependent
-    variable this reduces exactly to the univariate ANOVA F.
+    variable this reduces exactly to the univariate ANOVA F. A variable that is
+    constant within every design cell leaves E singular and is refused.
     """
     rows = list(obs)
     p = 1 if not rows or np.isscalar(rows[0][2]) else len(rows[0][2])
-    full, additive, _, _, Y = _design(rows, p)
-    n = len(Y)
-    df_error = n - 4
-    if df_error <= 0:
-        raise ValueError(f"need more than 4 observations, got {n}")
-    E = _rss_matrix(full, Y)
-    H = _rss_matrix(additive, Y) - E
+    Y, constant, (E, additive, _, _) = _fit(rows, p)
+    df_error = len(Y) - 4
+    H = additive - E
 
     total = Y - Y.mean(axis=0)
     if float(np.abs(total).max()) == 0.0:
@@ -266,6 +270,9 @@ def manova_pillai(obs) -> AnovaResult:
         df2 = df_error - p + 1
         return AnovaResult("interaction", 0.0, p, df2, 1.0, 0.0, 0.0, ("degenerate",))
 
+    if constant.any():  # its row and column of E are zero
+        raise ValueError(f"dependent variable {int(np.argmax(constant)) + 1} of {p} "
+                         "is constant within every design cell")
     he = H + E
     if np.linalg.matrix_rank(he) < p:
         raise ValueError("singular error matrix: dependent variables are collinear")

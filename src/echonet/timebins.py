@@ -86,19 +86,19 @@ def parse_date(value) -> date:
     return date.fromisoformat(str(value))
 
 
-def day_start(d: date) -> int:
-    return (d.toordinal() - _EPOCH_DAY) * SECONDS_PER_DAY
-
-
-def day_end(d: date) -> int:
-    """Last second of the day, so [from, to] date ranges are inclusive."""
-    return day_start(d) + SECONDS_PER_DAY - 1
+def instant_range(window) -> tuple[int, int]:
+    """The first and last second of the inclusive date window ``(from, to)``,
+    each end a date, a datetime (its date) or an ISO date string."""
+    start, end = parse_date(window[0]), parse_date(window[1])
+    if start > end:
+        raise ValueError(f"empty date range {start}..{end}")
+    return ((start.toordinal() - _EPOCH_DAY) * SECONDS_PER_DAY,
+            (end.toordinal() - _EPOCH_DAY + 1) * SECONDS_PER_DAY - 1)
 
 
 # Years 1000-9999: the instants whose canonical form format_timestamps writes
 # and parse_timestamp reads back.
-MIN_TS = day_start(date(1000, 1, 1))
-MAX_TS = day_end(date(9999, 12, 31))
+MIN_TS, MAX_TS = instant_range((date(1000, 1, 1), date(9999, 12, 31)))
 
 
 def calendar_bins(ts, window: str) -> np.ndarray:

@@ -389,6 +389,26 @@ def test_synth_rejects_what_it_cannot_write(tmp_path, capsys, flags, message):
     assert not (tmp_path / "data.jsonl").exists()
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 1.16 GiB for an array with shape (12500, 12500) "
+                 "and data type float64"),
+     "error: Unable to allocate 1.16 GiB for an array with shape (12500, 12500) "
+     "and data type float64"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_a_memory_error_is_one_error_line_and_no_output(corpus, capsys, monkeypatch, exc,
+                                                        line):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setitem(cli.ALGORITHMS, "walktrap", exhausted)
+    assert main(["detect", "--out-dir", str(corpus), "--in", "data.jsonl",
+                 "--algorithm", "walktrap", "--out", "part.csv"]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not (corpus / "part.csv").exists()
+    assert not (corpus / "part.csv.manifest.json").exists()
+
+
 def test_synth_writes_a_one_sided_corpus_without_cross_actions(tmp_path):
     run(*TINY_SYNTH, "--out-dir", tmp_path, "--users", "30,0", "--pages", "5,0", "--p-out", "0",
         "--user-truth", "users.csv")

@@ -227,6 +227,15 @@ def test_components_two_disjoint_edges():
     assert p.as_dict()["a"] == 0
 
 
+def test_components_rank_a_size_tie_by_smallest_page_not_node_order():
+    g = ProjectionGraph(["d", "c", "b", "a"], [(0, 1, 1), (2, 3, 1)])
+    assert connected_components(g).as_dict() == {"d": 1, "c": 1, "b": 0, "a": 0}
+
+
+def test_components_of_an_empty_graph():
+    assert connected_components(ProjectionGraph([], [])) == Partition((), (), 0)
+
+
 def test_components_isolated_pages():
     g = ProjectionGraph([f"p{i}" for i in range(5)], [])
     p = connected_components(g)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from echonet import ingest, timebins
+from echonet.cli import main
 from echonet.ingest import (
     Dataset,
     InteractionRecord,
@@ -27,8 +28,8 @@ from echonet.timebins import (
     MAX_TS,
     MIN_TS,
     calendar_bins,
-    day_start,
     format_timestamps,
+    instant_range,
     parse_timestamp,
     quarter_at,
     read_timestamps,
@@ -269,6 +270,30 @@ def test_filter_idempotent():
 def test_filter_rejects_inverted_range():
     with pytest.raises(ValueError):
         filter_dataset(dataset(), date_range=(date(2015, 1, 1), date(2014, 1, 1)))
+
+
+def test_instant_range_is_inclusive_and_refuses_an_inverted_window(tmp_path, capsys):
+    def epoch(*args):
+        return int(datetime(*args, tzinfo=timezone.utc).timestamp())
+
+    assert instant_range(("2014-03-01", date(2014, 3, 31))) == (
+        epoch(2014, 3, 1), epoch(2014, 3, 31, 23, 59, 59))
+    # one day, a datetime end counting as its date
+    assert instant_range((datetime(2014, 3, 1, 18), date(2014, 3, 1))) == (
+        epoch(2014, 3, 1), epoch(2014, 3, 1) + 86399)
+    message = "empty date range 2015-01-01..2014-01-01"
+    window = (date(2015, 1, 1), "2014-01-01")
+    for refuse in (lambda: instant_range(window),
+                   lambda: filter_dataset(dataset(), date_range=window),
+                   lambda: SynthConfig((2, 2), time_range=window).validate()):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            refuse()
+    (tmp_path / "in.jsonl").write_text("")
+    for argv in (["ingest", "--in", "in.jsonl"], ["synth", "--truth", "labels.csv"]):
+        assert main([*argv, "--out-dir", str(tmp_path), "--out", "out.jsonl",
+                     "--from", "2015-01-01", "--to", "2014-01-01"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]
 
 
 def test_summary_empty_dataset():
@@ -581,8 +606,7 @@ def test_timestamp_oracle():
 
     week_53 = [date(2015, 12, 28), date(2016, 1, 3), date(2020, 12, 31), date(2021, 1, 3),
                date(1001, 12, 28), date(9998, 12, 31)]
-    instants = [MIN_TS, MAX_TS, -1, 0] + [day_start(d) + s for d in week_53
-                                          for s in (0, 86399)]
+    instants = [MIN_TS, MAX_TS, -1, 0] + [ts for d in week_53 for ts in instant_range((d, d))]
     instants += [rng.randint(MIN_TS, MAX_TS) for _ in range(20_000)]
     instants.sort()
     dts = [datetime.fromtimestamp(ts, tz=timezone.utc) for ts in instants]

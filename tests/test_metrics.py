@@ -92,6 +92,12 @@ def test_two_largest_sides_picks_biggest_communities():
     assert sides == {"a": "c1", "b": "c1", "c": "c1", "d": "c2", "e": "c2"}
 
 
+def test_two_largest_sides_break_a_size_tie_by_smallest_page():
+    # three equal communities, the one with the smallest page id last in node order
+    p = Partition.from_labels(["p5", "p6", "p3", "p4", "p1", "p2"], [0, 0, 1, 1, 2, 2])
+    assert two_largest_sides(p) == {"p1": "c1", "p2": "c1", "p3": "c2", "p4": "c2"}
+
+
 def test_histogram_point_mass_in_last_bin():
     d = dataset(*likes("u1", "p1", 10))
     profiles = user_polarization(d, SIDES)

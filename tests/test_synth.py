@@ -2,7 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
-from datetime import date
+from datetime import date, datetime, time, timezone
 
 import pytest
 
@@ -10,7 +10,6 @@ from echonet.graphs import build_bipartite, connected_components, project
 from echonet.ingest import serialize_records
 from echonet.metrics import user_polarization
 from echonet.synth import RECORDS_CAP, SynthConfig, generate
-from echonet.timebins import day_end, day_start
 
 
 def small_config(**over):
@@ -86,7 +85,8 @@ def test_generate_holds_narrow_columns_while_it_draws():
 def test_timestamps_within_range():
     cfg = small_config()
     d, _, _ = generate(cfg)
-    lo, hi = day_start(cfg.time_range[0]), day_end(cfg.time_range[1])
+    lo, hi = (datetime.combine(day, t, timezone.utc).timestamp()
+              for day, t in zip(cfg.time_range, (time(0, 0, 0), time(23, 59, 59))))
     assert all(lo <= r.ts <= hi for r in d.records)
 
 

@@ -222,6 +222,19 @@ def test_anova_constant_data_degenerate():
     assert "degenerate" in table.interaction.flags
 
 
+def test_anova_zero_error_is_decided_from_the_data():
+    # unbalanced, every cell constant: the sides differ, the epochs do not, and
+    # lstsq leaves residue that once read as an interaction with p = 2.5e-9
+    counts = {("pro", "before"): 8, ("pro", "after"): 3, ("anti", "before"): 5,
+              ("anti", "after"): 9}
+    obs = [(a, b, {"pro": 145.0, "anti": 98.0}[a]) for (a, b), n in counts.items()
+           for _ in range(n)]
+    table = two_way_anova(obs)
+    rows = (table.factor_a, table.factor_b, table.interaction)
+    assert [(r.F, r.p) for r in rows] == [(math.inf, 0.0), (0.0, 1.0), (0.0, 1.0)]
+    assert all(r.flags == ("zero_error",) for r in rows) and table.ss_error == 0.0
+
+
 def test_anova_empty_cell_identified():
     obs = [("pro", "before", 1.0), ("pro", "after", 2.0), ("anti", "before", 3.0),
            ("pro", "before", 1.5), ("pro", "after", 2.5), ("anti", "before", 3.5)]
@@ -337,6 +350,13 @@ def test_anova_and_manova_refuse_no_observations():
     for test in (two_way_anova, manova_pillai):
         with pytest.raises(ValueError, match="^no observations$"):
             test([])
+
+
+def test_manova_names_a_dv_constant_within_every_cell():
+    obs = [(a, b, ({"pro": 145.0, "anti": 98.0}[a], v)) for a, b, v in balanced_fixture()]
+    with pytest.raises(ValueError, match="^dependent variable 1 of 2 is constant "
+                                         "within every design cell$"):
+        manova_pillai(obs)
 
 
 def test_manova_collinear_dvs_rejected():
