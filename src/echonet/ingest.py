@@ -170,17 +170,6 @@ def run_starts(*columns) -> np.ndarray:
     return first
 
 
-def _record_from_obj(obj, line_no: int) -> InteractionRecord:
-    if not isinstance(obj, dict):
-        raise ParseError(line_no, "not a JSON object")
-    try:
-        user, page, post = obj["user"], obj["page"], obj["post"]
-        action, ts = obj["action"], obj["ts"]
-    except KeyError as exc:
-        raise ParseError(line_no, f"missing field {exc.args[0]!r}") from exc
-    return _make_record(user, page, post, action, ts, line_no)
-
-
 def _make_record(user, page, post, action, ts, line_no: int) -> InteractionRecord:
     for name, value in (("user", user), ("page", page), ("post", post)):
         if not isinstance(value, str) or not value:
@@ -222,19 +211,15 @@ def _undecodable(text: str) -> bool:
 def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset:
     """Parse a line-oriented text stream into a Dataset.
 
-    In strict mode a malformed line raises ParseError with the line number;
-    in lenient mode bad lines are skipped and counted in
-    ``Dataset.skipped_lines``. Bytes are decoded, and a file should be opened,
-    with ``errors="surrogateescape"``: a line holding a byte that is not UTF-8
-    is then a malformed line ("invalid UTF-8") like any other.
-
+    In strict mode a malformed line raises ParseError with its line number; in
+    lenient mode it is skipped and counted in ``Dataset.skipped_lines``. Bytes
+    are decoded, and a file should be opened, with ``errors="surrogateescape"``:
+    a line holding a byte that is not UTF-8 is then malformed ("invalid UTF-8").
     JSONL is read in blocks of whole lines, one ``stream.readlines(BLOCK_CHARS)``
     (lines until they pass BLOCK_CHARS characters) each, and one
     ``_LINE.findall`` and one read_timestamps per block read its canonical lines
-    in bulk. Any other line, and every line of a block whose timestamps numpy
-    refuses, goes with its line number to the per-line path
-    (``_parse_jsonl_lines``), the only source of ParseError messages and skip
-    counts.
+    in bulk. Each run of other lines, and every line of a block whose
+    timestamps numpy refuses, goes to _read_lines, as every CSV row does.
     """
     if isinstance(stream, (str, bytes)):
         if isinstance(stream, bytes):
@@ -243,91 +228,81 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
 
+    columns, skipped, line_no = _Columns(), 0, 1
+    if format == "csv":
+        skipped = _read_lines(_csv_rows(stream, CSV_HEADER), _csv_fields, strict, columns)
+    else:
+        for block in map("".join, iter(partial(stream.readlines, BLOCK_CHARS), [])):
+            rows = _LINE.findall(block, 0, len(block) - block.endswith("\n"))
+            *fields, stamps = zip(*rows)
+            ts, read = read_timestamps(stamps)
+            ts, read = ts.tolist(), read.tolist()
+            lines = () if all(read) else block.split("\n")  # at "\n" only, as _LINE reads
+            start = 0
+            for is_read, run in groupby(read):  # runs of lines read or not
+                stop = start + len(list(run))
+                if is_read:
+                    columns.extend(*(f[start:stop] for f in fields), ts[start:stop])
+                else:
+                    numbered = enumerate(lines[start:stop], line_no + start)
+                    skipped += _read_lines(numbered, _json_fields, strict, columns)
+                start = stop
+            line_no += len(rows)
+            del rows, fields, stamps, ts  # free this block's strings before the next findall
+    return Dataset(skipped_lines=skipped, coded=sort_codes(columns.codes, columns.columns))
+
+
+def _read_lines(numbered, fields, strict: bool, columns: _Columns) -> int:
+    """Add the records of the ``(line_no, item)`` pairs to ``columns``; return the
+    lines skipped. ``fields(item, line_no)`` gives five fields, or None to pass the
+    line over. Strict mode raises a ParseError from it or _make_record; lenient
+    mode counts the line and skips it."""
     records: list[InteractionRecord] = []
     skipped = 0
-    if format == "jsonl":
-        columns, line_no = _Columns(), 1
-        for lines in iter(partial(stream.readlines, BLOCK_CHARS), []):
-            line_no, n = _scan_block("".join(lines), line_no, strict, columns)
-            skipped += n
-        return Dataset(skipped_lines=skipped, coded=sort_codes(columns.codes, columns.columns))
-    else:
-        for line_no, row in _csv_rows(stream):
-            if not row:
-                continue
-            if line_no == 1 and row == CSV_HEADER:
-                continue
-            try:
-                if isinstance(row, ParseError):
-                    raise row
-                if len(row) != 5:
-                    raise ParseError(line_no, f"expected 5 columns, got {len(row)}")
-                records.append(_make_record(*row, line_no))
-            except ParseError:
-                if strict:
-                    raise
-                skipped += 1
-
-    return Dataset(records, skipped)
-
-
-def _scan_block(block: str, line_no: int, strict: bool, columns: _Columns):
-    """Add the records of a block of whole lines from ``line_no`` on to
-    ``columns``; return the next line's number and the lines skipped."""
-    rows = _LINE.findall(block, 0, len(block) - block.endswith("\n"))
-    *fields, stamps = zip(*rows)
-    ts, read = read_timestamps(stamps)
-    ts, read = ts.tolist(), read.tolist()
-    lines = () if all(read) else block.split("\n")
-    skipped = start = 0
-    for is_read, run in groupby(read):  # runs of lines read or not
-        stop = start + len(list(run))
-        if is_read:
-            columns.extend(*(f[start:stop] for f in fields), ts[start:stop])
-        else:
-            records: list[InteractionRecord] = []
-            skipped += _parse_jsonl_lines(lines[start:stop], line_no + start, strict, records)
-            columns.add(records)
-        start = stop
-    return line_no + len(rows), skipped
-
-
-def _parse_jsonl_lines(lines, line_no: int, strict: bool, records: list) -> int:
-    """Per-line JSONL path: append each good record, return the lines skipped.
-
-    ``line_no`` is the number of the first line. In strict mode the first bad
-    line raises ParseError.
-    """
-    skipped = 0
-    for line_no, line in enumerate(lines, start=line_no):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, item in numbered:
         try:
-            if _undecodable(line):
-                raise ParseError(line_no, "invalid UTF-8")
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            records.append(_record_from_obj(obj, line_no))
+            raw = fields(item, line_no)
+            if raw is not None:
+                user, page, post, action, ts = raw  # a call with *raw is slower
+                records.append(_make_record(user, page, post, action, ts, line_no))
         except ParseError:
             if strict:
                 raise
             skipped += 1
+    columns.add(records)
     return skipped
 
 
-def _csv_rows(stream):
-    """Yield ``(line_no, row)`` per CSV row, numbered from 1.
+def _json_fields(line: str, line_no: int):
+    """The fields of a JSONL line, or None for a blank one."""
+    line = line.strip()
+    if not line:
+        return None
+    if _undecodable(line):
+        raise ParseError(line_no, "invalid UTF-8")
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(line_no, "not a JSON object")
+    try:
+        return obj["user"], obj["page"], obj["post"], obj["action"], obj["ts"]
+    except KeyError as exc:
+        raise ParseError(line_no, f"missing field {exc.args[0]!r}") from exc
 
-    A row the csv module rejects, such as one with a field over its size
-    limit, or one holding a byte that is not UTF-8, is yielded as a
-    ParseError in place of the row, so callers decide whether to raise it or
-    skip the line.
+
+def _csv_rows(stream, header: list[str]):
+    """Yield ``(line_no, row)`` per CSV row other than blank rows and a header
+    (the first non-blank row, if its cells stripped are ``header``); ``line_no``
+    is the row's first line. A row the csv module rejects (such as a field over
+    its size limit), holding a byte that is not UTF-8 or not as wide as
+    ``header``, or a first row starting with a BOM, comes as a ParseError.
     """
     reader = csv.reader(stream)
-    for line_no in count(1):
+    first = True  # no row but blank ones read yet
+    while True:
+        line_no = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
@@ -335,9 +310,26 @@ def _csv_rows(stream):
         except csv.Error as exc:
             row = ParseError(line_no, f"invalid CSV: {exc}")
         else:
+            if not row:
+                continue
             if any(map(_undecodable, row)):
                 row = ParseError(line_no, "invalid UTF-8")
+            elif first and row[0].startswith("\ufeff"):
+                row = ParseError(line_no, "unexpected UTF-8 BOM")
+            elif first and [c.strip() for c in row] == header:
+                first = False
+                continue
+            elif len(row) != len(header):
+                row = ParseError(line_no, f"expected {len(header)} columns, got {len(row)}")
+        first = False
         yield line_no, row
+
+
+def _csv_fields(row, line_no: int):
+    """A row from _csv_rows, or its ParseError raised."""
+    if isinstance(row, ParseError):
+        raise row
+    return row
 
 
 def csv_text(header, rows) -> str:
@@ -475,20 +467,12 @@ def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
 
 
 def read_labels(stream) -> dict[str, str]:
-    """Read a page label file: CSV ``page_id,label`` with optional header."""
+    """Read a page label file: CSV ``page_id,label``, its header optional."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     out: dict[str, str] = {}
-    for line_no, row in _csv_rows(stream):
-        if isinstance(row, ParseError):
-            raise row
-        if not row:
-            continue
-        if line_no == 1 and [c.strip() for c in row] == ["page_id", "label"]:
-            continue
-        if len(row) != 2:
-            raise ParseError(line_no, f"expected 2 columns, got {len(row)}")
-        page, label = row[0].strip(), row[1].strip()
+    for line_no, row in _csv_rows(stream, ["page_id", "label"]):
+        page, label = (c.strip() for c in _csv_fields(row, line_no))
         if not page or not label:
             raise ParseError(line_no, f"{'label' if page else 'page_id'} must be non-empty")
         if page in out and out[page] != label:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import re
 import tracemalloc
 from datetime import date, datetime, timezone
 from functools import partial
@@ -390,9 +391,10 @@ def is_canonical(line: str) -> bool:
 
 def per_line(text: str, strict: bool):
     """The per-line path over the whole text: (records, skipped) or ParseError."""
-    records = []
-    skipped = ingest._parse_jsonl_lines(io.StringIO(text), 1, strict, records)
-    return records, skipped
+    columns = ingest._Columns()
+    numbered = enumerate(io.StringIO(text), 1)
+    skipped = ingest._read_lines(numbered, ingest._json_fields, strict, columns)
+    return list(Dataset(coded=ingest.sort_codes(columns.codes, columns.columns)).records), skipped
 
 
 # Block sizes the JSONL scan is checked at: at 1 and 7 characters every line
@@ -497,6 +499,20 @@ def test_file_line_ends_and_a_long_line_match_per_line(tmp_path):
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
     assert text == "\n".join(lines)
     assert_same_as_per_line(text, partial(open, path, encoding="utf-8", errors="surrogateescape"))
+
+
+def test_a_stream_ending_lines_at_a_lone_cr_matches_per_line():
+    """Within a block, lines end at "\n" only, also where the stream's readlines
+    ends one at a lone "\r" (a stream opened with newline=""): no line is lost."""
+    reordered = json.dumps({"ts": "2014-03-01T00:00:00Z", **json.loads(ONE_LINE)})
+    text = "\n".join([ONE_LINE + "\r" + reordered, reordered + "\r" + ONE_LINE, ONE_LINE,
+                      reordered, ONE_LINE + "\r"]) + "\n"
+    d = parse_records(io.StringIO(text, newline=""), strict=False)
+    assert (list(d.records), d.skipped_lines) == per_line(text, False)
+    assert d.skipped_lines == 2 and len(d) == 3
+    with pytest.raises(ParseError) as exc:
+        parse_records(io.StringIO(text, newline=""))
+    assert exc.value.line_no == 1 and "Extra data" in exc.value.reason
 
 
 def test_invalid_json_beyond_json_decode_error_is_a_parse_error():
@@ -750,6 +766,150 @@ def test_labels_field_over_size_limit():
     with pytest.raises(ParseError) as exc:
         read_labels(f"page_id,label\np1,pro\n{BIG},anti\n")
     assert exc.value.line_no == 3
+
+
+# --- CSV rows: line numbers, the header, a BOM, and a row-by-row reference ------
+
+CSV_ROW = "u1,p1,x1,like,2014-03-01T00:00:00Z"
+
+
+def test_csv_and_labels_errors_name_the_first_line_of_their_row():
+    """A quoted field over lines 2-3 makes the next row line 4, not row 3."""
+    text = ('user,page,post,action,ts\nu1,p1,"x\n1",like,2014-03-01T00:00:00Z\n'
+            + CSV_ROW.replace("like", "bogus") + "\n")
+    with pytest.raises(ParseError) as exc:
+        parse_records(text, format="csv")
+    assert (exc.value.line_no, exc.value.reason) == (4, "unknown action 'bogus'")
+    d = parse_records(text, format="csv", strict=False)
+    assert [r.post for r in d.records] == ["x\n1"] and d.skipped_lines == 1
+    with pytest.raises(ParseError) as exc:
+        read_labels('page_id,label\n"p\n1",pro\np2,\n')
+    assert (exc.value.line_no, exc.value.reason) == (4, "label must be non-empty")
+
+
+@pytest.mark.parametrize("lead", ["\n", "\n\n", "\r\n"])
+def test_csv_and_labels_header_is_the_first_non_blank_row(lead):
+    assert read_labels(f"{lead}page_id,label\np1,pro\n") == {"p1": "pro"}
+    d = parse_records(f"{lead}{','.join(ingest.CSV_HEADER)}\n{CSV_ROW}\n", format="csv")
+    assert [r.user for r in d.records] == ["u1"] and d.skipped_lines == 0
+    with pytest.raises(ParseError) as exc:  # a header after the first row is a row
+        read_labels(f"{lead}p1,pro\n page_id , label \npage_id,pro\n")
+    assert exc.value.reason == "conflicting label for page 'page_id'"
+
+
+@pytest.mark.parametrize("text", ["\ufeffpage_id,label\np1,pro\n", "\ufeffp1,pro\np2,anti\n",
+                                  "\ufeff\np1,pro\n"])
+def test_labels_refuse_a_leading_bom(text):
+    with pytest.raises(ParseError) as exc:
+        read_labels(text)
+    assert (exc.value.line_no, exc.value.reason) == (1, "unexpected UTF-8 BOM")
+
+
+@pytest.mark.parametrize("header", ["", "user,page,post,action,ts\n"])
+def test_csv_records_refuse_a_leading_bom(header):
+    data = ("\ufeff" + header + f"{CSV_ROW}\n" * 2).encode()
+    with pytest.raises(ParseError) as exc:
+        parse_records(data, format="csv")
+    assert (exc.value.line_no, exc.value.reason) == (1, "unexpected UTF-8 BOM")
+    d = parse_records(data, format="csv", strict=False)
+    assert d.users == {"u1"} and len(d) == (2 if header else 1) and d.skipped_lines == 1
+
+
+def csv_reference(text: str, strict: bool):
+    """CSV records read row by row with csv.reader and _make_record: (records,
+    skipped), or (line_no, reason) of the first bad row in strict mode.
+
+    Rows are numbered by their first line; blank rows are passed over, and the
+    first non-blank row is the header if its cells, stripped, are CSV_HEADER.
+    """
+    reader = csv.reader(io.StringIO(text))
+    rows, line_no = [], 1  # (first line, cells or the csv module's error)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            row = f"invalid CSV: {exc}"
+        if row != []:
+            rows.append((line_no, row))
+        line_no = reader.line_num + 1
+    records, skipped = [], 0
+    for i, (line_no, row) in enumerate(rows):
+        if isinstance(row, list) and re.search("[\udc80-\udcff]", "".join(row)):
+            row = "invalid UTF-8"
+        elif i == 0 and isinstance(row, list) and row[0].startswith("\ufeff"):
+            row = "unexpected UTF-8 BOM"
+        elif i == 0 and isinstance(row, list) and [c.strip() for c in row] == ingest.CSV_HEADER:
+            continue
+        try:
+            if isinstance(row, str):
+                raise ParseError(line_no, row)
+            if len(row) != 5:
+                raise ParseError(line_no, f"expected 5 columns, got {len(row)}")
+            records.append(ingest._make_record(*row, line_no))
+        except ParseError as exc:
+            if strict:
+                return exc.line_no, exc.reason
+            skipped += 1
+    return records, skipped
+
+
+def mutate_csv(lines: list, rng: random.Random) -> None:
+    """One edit of CSV ``lines``: a blank row, a header first, after blank rows
+    or mid-file, a row of 4 or 6 cells, a quoted newline, a bad value, a byte
+    that is not UTF-8, a field over the csv module's limit or a leading BOM."""
+    i = rng.randrange(len(lines))
+    cells = lines[i].split(",")
+    j = rng.randrange(len(cells))
+    kind = rng.randrange(8)
+    if kind == 0:
+        lines.insert(i, "")
+        return
+    if kind == 1:
+        header = rng.choice([",".join(ingest.CSV_HEADER), " user , page,post,action,ts "])
+        lines.insert(rng.choice([0, 0, i]), rng.choice([header, ""]))
+        return
+    if kind == 2:
+        if rng.random() < 0.5:
+            del cells[j]
+        else:
+            cells.insert(j, "extra")
+    elif kind == 3:
+        cells[j] = f'"{cells[j]}\n{rng.choice(["", "z", ",", "x,y"])}"'
+    elif kind == 4:
+        cells[j] = rng.choice(["share", "Like", "", "2010-02-30T00:00:00Z", "yesterday",
+                               "2014-03-01T24:00:00Z", "1393632000", "post"])
+    elif kind == 5:
+        cells[j] += rng.choice(["\udcff", "\udcc3", "\udc80x"])
+    elif kind == 6:
+        cells[j] = BIG
+    else:
+        lines[0] = "\ufeff" + lines[0]
+        return
+    lines[i] = ",".join(cells)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_csv_mutation_oracle_matches_row_by_row_reference(seed):
+    """parse_records(format="csv") equals csv_reference in both modes."""
+    rng = random.Random(seed)
+    cfg = SynthConfig(users_per_side=(8, 8), pages_per_side=(3, 2),
+                      actions_per_user=("fixed", 4), posts_per_page=3, seed=seed)
+    lines = serialize_records(generate(cfg)[0], "csv").splitlines()
+    if seed % 3 == 0:
+        del lines[0]  # no header
+    for _ in range(1 + seed):
+        mutate_csv(lines, rng)
+    text = "\n".join(lines) + "\n"
+    for strict in (True, False):
+        try:
+            d = parse_records(text.encode("utf-8", "surrogateescape"), "csv", strict)
+        except ParseError as exc:
+            got = (exc.line_no, exc.reason)
+        else:
+            got = (list(d.records), d.skipped_lines)
+        assert got == csv_reference(text, strict), strict
 
 
 # --- the coded columns against the records they code -----------------------------
