@@ -14,6 +14,7 @@ import hashlib
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -196,6 +197,28 @@ def fastgreedy(g: ProjectionGraph) -> tuple[Partition, Dendrogram]:
     return agg.run(rescore)
 
 
+def _local_moves(rows, labels: list[int], rng: random.Random, pick, limit=None):
+    """The sweep loop of multilevel and label propagation.
+
+    A sweep visits the nodes in an ``rng``-shuffled order. At node ``v`` an int
+    dict ``w`` tallies v's weight to each label around it, its own from 0 (exact
+    below 2**53), and ``labels[v] = pick(v, w)``, which sees v's old label.
+    Returns the sweeps run, the last moving no node, or None if ``limit`` all move.
+    """
+    for sweeps in count(1) if limit is None else range(1, limit + 1):
+        order = list(range(len(labels)))
+        rng.shuffle(order)
+        before = labels[:]  # a node is visited once a sweep, so any move shows
+        for v in order:
+            w = {labels[v]: 0}
+            for u, wu in zip(*rows[v]):
+                w[labels[u]] = w.get(labels[u], 0) + wu
+            labels[v] = pick(v, w)
+        if labels == before:
+            return sweeps
+    return None
+
+
 def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
     """Multi-level modularity optimization (local moves + aggregation).
 
@@ -209,40 +232,27 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
     """
     _require_weight(g)
     rng = random.Random(seed)
-    m = float(g.total_weight)
+    two_m = 2.0 * g.total_weight
     level, loops = g, np.zeros(g.n_nodes, np.int64)  # each node's self-loop weight
     assignment = np.arange(g.n_nodes)  # original node -> current supernode
 
     while True:
-        n, adj = level.n_nodes, level.rows()
         strength = (level.strengths + 2 * loops).astype(float).tolist()
-        com = list(range(n))
+        com = list(range(level.n_nodes))
         com_tot = strength[:]
-        moved_any = False
-        while True:
-            moved = False
-            order = list(range(n))
-            rng.shuffle(order)
-            for v in order:
-                cv = com[v]
-                w_to: dict[int, float] = {cv: 0.0}
-                for u, w in zip(*adj[v]):
-                    w_to[com[u]] = w_to.get(com[u], 0.0) + w
-                com_tot[cv] -= strength[v]
-                best_c, best_gain = cv, w_to[cv] - com_tot[cv] * strength[v] / (2.0 * m)
-                for c in sorted(w_to):
-                    if c == cv:
-                        continue
-                    gain = w_to[c] - com_tot[c] * strength[v] / (2.0 * m)
-                    if gain > best_gain:
-                        best_gain, best_c = gain, c
-                com_tot[best_c] += strength[v]
-                com[v] = best_c
-                if best_c != cv:
-                    moved = moved_any = True
-            if not moved:
-                break
-        if not moved_any:  # else a move emptied a community, so the next level is smaller
+
+        def pick(v: int, w_to: dict[int, int]) -> int:
+            cv, s = com[v], strength[v]
+            com_tot[cv] -= s
+            best_c, best_gain = cv, w_to[cv] - com_tot[cv] * s / two_m
+            for c in sorted(w_to):  # at c == cv the gain is best_gain again, which > keeps
+                gain = w_to[c] - com_tot[c] * s / two_m
+                if gain > best_gain:
+                    best_gain, best_c = gain, c
+            com_tot[best_c] += s
+            return best_c
+
+        if _local_moves(level.rows(), com, rng, pick) == 1:  # else a move emptied a community
             break
         _, first, inverse = np.unique(com, return_index=True, return_inverse=True)
         k, sup = len(first), np.argsort(np.argsort(first))[inverse]  # node -> supernode
@@ -367,28 +377,16 @@ def label_propagation(g: ProjectionGraph, seed: int = 0) -> Partition:
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
     rng = random.Random(seed)
-    n = g.n_nodes
-    labels, rows = list(range(n)), g.rows()
-    flags: tuple[str, ...] = ()
-    for _sweep in range(MAX_LP_SWEEPS):
-        order = list(range(n))
-        rng.shuffle(order)
-        changed = False
-        for v in order:
-            if not rows[v][0]:
-                continue
-            weight_by_label: dict[int, int] = {}
-            for u, w in zip(*rows[v]):
-                weight_by_label[labels[u]] = weight_by_label.get(labels[u], 0) + w
-            best = max(weight_by_label.values())
-            tied = sorted(lab for lab, w in weight_by_label.items() if w == best)
-            if labels[v] in tied:
-                continue
-            labels[v] = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
-            changed = True
-        if not changed:
-            break
-    else:
+    labels, flags = list(range(g.n_nodes)), ()
+
+    def pick(v: int, w: dict[int, int]) -> int:
+        best = max(w.values())
+        if w[labels[v]] == best:
+            return labels[v]
+        tied = sorted(lab for lab, x in w.items() if x == best)
+        return tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
+
+    if _local_moves(g.rows(), labels, rng, pick, MAX_LP_SWEEPS) is None:
         warnings.warn("label propagation did not converge within "
                       f"{MAX_LP_SWEEPS} sweeps", ConvergenceWarning)
         flags = ("not_converged",)

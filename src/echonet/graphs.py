@@ -159,12 +159,6 @@ class ProjectionGraph:
         bounds = np.searchsorted(self.src, np.arange(self.n_nodes + 1)).tolist()
         return [(dst[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    def weight(self, a: str, b: str) -> int:
-        i, j = self.nodes.index(a), self.nodes.index(b)
-        lo, hi = np.searchsorted(self.src, (i, i + 1))
-        k = lo + np.searchsorted(self.dst[lo:hi], j)
-        return int(self.weights[k]) if k < hi and self.dst[k] == j else 0
-
     def to_csv(self) -> str:
         rows = [(*sorted((self.nodes[i], self.nodes[j])), w) for i, j, w in self.edges()]
         return csv_text(["page_a", "page_b", "weight"], sorted(rows))

@@ -216,10 +216,10 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
     are decoded, and a file should be opened, with ``errors="surrogateescape"``:
     a line holding a byte that is not UTF-8 is then malformed ("invalid UTF-8").
     JSONL is read in blocks of whole lines, one ``stream.readlines(BLOCK_CHARS)``
-    (lines until they pass BLOCK_CHARS characters) each, and one
-    ``_LINE.findall`` and one read_timestamps per block read its canonical lines
-    in bulk. Each run of other lines, and every line of a block whose
-    timestamps numpy refuses, goes to _read_lines, as every CSV row does.
+    (lines until they pass BLOCK_CHARS characters) each, extended to end at a
+    "\n", and one ``_LINE.findall`` and one read_timestamps per block read its
+    canonical lines in bulk. Each run of other lines, and every line of a block
+    whose timestamps numpy refuses, goes to _read_lines, as every CSV row does.
     """
     if isinstance(stream, (str, bytes)):
         if isinstance(stream, bytes):
@@ -233,6 +233,8 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
         skipped = _read_lines(_csv_rows(stream, CSV_HEADER), _csv_fields, strict, columns)
     else:
         for block in map("".join, iter(partial(stream.readlines, BLOCK_CHARS), [])):
+            while not block.endswith("\n") and (rest := stream.readline()):
+                block += rest  # newline="" ends lines at a lone "\r" too; _LINE does not
             rows = _LINE.findall(block, 0, len(block) - block.endswith("\n"))
             *fields, stamps = zip(*rows)
             ts, read = read_timestamps(stamps)
@@ -297,7 +299,8 @@ def _csv_rows(stream, header: list[str]):
     (the first non-blank row, if its cells stripped are ``header``); ``line_no``
     is the row's first line. A row the csv module rejects (such as a field over
     its size limit), holding a byte that is not UTF-8 or not as wide as
-    ``header``, or a first row starting with a BOM, comes as a ParseError.
+    ``header``, a first row starting with a BOM, or a later row equal to the
+    header (such as a second file's, after cat) comes as a ParseError.
     """
     reader = csv.reader(stream)
     first = True  # no row but blank ones read yet
@@ -316,9 +319,12 @@ def _csv_rows(stream, header: list[str]):
                 row = ParseError(line_no, "invalid UTF-8")
             elif first and row[0].startswith("\ufeff"):
                 row = ParseError(line_no, "unexpected UTF-8 BOM")
-            elif first and [c.strip() for c in row] == header:
-                first = False
-                continue
+            # a header row; its last cell alone rules out a record row, at a fifth of the cost
+            elif row[-1].strip() == header[-1] and [c.strip() for c in row] == header:
+                if first:
+                    first = False
+                    continue
+                row = ParseError(line_no, "repeated header")
             elif len(row) != len(header):
                 row = ParseError(line_no, f"expected {len(header)} columns, got {len(row)}")
         first = False
@@ -467,7 +473,7 @@ def dataset_summary(d: Dataset, labels: dict[str, str]) -> SummaryTable:
 
 
 def read_labels(stream) -> dict[str, str]:
-    """Read a page label file: CSV ``page_id,label``, its header optional."""
+    """Read a page label file: CSV ``page_id,label``, its header optional and first."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     out: dict[str, str] = {}

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,77 @@ def test_label_propagation_single_node():
 def test_label_propagation_deterministic_per_seed():
     g = random_weighted_graph(25, 0.2, seed=12)
     assert label_propagation(g, 7) == label_propagation(g, 7)
+
+
+def label_propagation_reference(g, seed):
+    """Label propagation as one loop over Python lists and dicts: isolated
+    nodes passed over, ties among other labels sorted and drawn from the
+    seed's ``random.Random``, at most ``community.MAX_LP_SWEEPS`` sweeps."""
+    rng = random.Random(seed)
+    n = g.n_nodes
+    labels, rows = list(range(n)), g.rows()
+    flags: tuple[str, ...] = ()
+    for _sweep in range(community.MAX_LP_SWEEPS):
+        order = list(range(n))
+        rng.shuffle(order)
+        changed = False
+        for v in order:
+            if not rows[v][0]:
+                continue
+            weight_by_label: dict[int, int] = {}
+            for u, w in zip(*rows[v]):
+                weight_by_label[labels[u]] = weight_by_label.get(labels[u], 0) + w
+            best = max(weight_by_label.values())
+            tied = sorted(lab for lab, w in weight_by_label.items() if w == best)
+            if labels[v] in tied:
+                continue
+            labels[v] = tied[rng.randrange(len(tied))] if len(tied) > 1 else tied[0]
+            changed = True
+        if not changed:
+            break
+    else:
+        flags = ("not_converged",)
+    return Partition.from_labels(g.nodes, labels, flags)
+
+
+def test_label_propagation_matches_list_reference(monkeypatch):
+    """The same partitions as the reference on the pinned graphs at seeds 0-2
+    and on random graphs, all-equal weights included, where ties draw."""
+    draws = []
+    randrange = random.Random.randrange
+    monkeypatch.setattr(random.Random, "randrange",
+                        lambda self, *a: draws.append(a) or randrange(self, *a))
+    for g in pinned_graphs():
+        for seed in range(3):
+            assert label_propagation(g, seed) == label_propagation_reference(g, seed)
+    for seed in range(120):
+        rng = random.Random(seed)
+        n, p = rng.randint(1, 50), rng.choice([0.05, 0.1, 0.3, 0.7])
+        top = rng.choice([1, 1, 2, 5, 1000])  # 1: all weights equal
+        edges = [(i, j, rng.randint(1, top)) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        g = ProjectionGraph([f"p{i:02d}" for i in range(n)], edges)
+        assert label_propagation(g, seed) == label_propagation_reference(g, seed)
+    assert len(draws) > 1000
+
+
+def test_label_propagation_flags_a_sweep_limit_it_reaches(monkeypatch):
+    """A run whose first sweep without a move is sweep k converges at a limit
+    of k sweeps; at k - 1 it warns and flags its labels, as the reference does."""
+    g, seed = random_weighted_graph(40, 0.15, seed=3), 5
+    for quiet in itertools.count(1):  # the lowest limit the reference meets unflagged
+        monkeypatch.setattr(community, "MAX_LP_SWEEPS", quiet)
+        if not label_propagation_reference(g, seed).flags:
+            break
+    assert quiet >= 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = label_propagation(g, seed)
+    assert part == label_propagation_reference(g, seed) and not part.flags
+    monkeypatch.setattr(community, "MAX_LP_SWEEPS", quiet - 1)
+    with pytest.warns(community.ConvergenceWarning, match=f"within {quiet - 1} sweeps"):
+        part = label_propagation(g, seed)
+    assert part == label_propagation_reference(g, seed) and part.flags == ("not_converged",)
 
 
 # ------------------------------------------------------------------ recovery

@@ -98,7 +98,7 @@ def test_bipartite_edges_match_brute_force():
 def test_project_minimal_overlap():
     d = dataset(rec("u1", "p1"), rec("u1", "p2"))
     g = project(build_bipartite(d, "like"))
-    assert g.n_edges == 1 and g.weight("p1", "p2") == 1
+    assert list(g.edges()) == [(0, 1, 1)] and g.nodes == ("p1", "p2")
 
 
 def test_project_disjoint_no_edge():
@@ -115,8 +115,9 @@ def test_project_weights_match_brute_force():
     b = build_bipartite(dataset(*records), "like")
     g = project(b)
     liked = {p: {r.user for r in records if r.page == p} for p in pages}
+    weight = {(g.nodes[i], g.nodes[j]): w for i, j, w in g.edges()}
     for a, bb in itertools.combinations(pages, 2):
-        assert g.weight(a, bb) == len(liked[a] & liked[bb])
+        assert weight.get((a, bb), 0) == len(liked[a] & liked[bb])
     # weight bound and strength cache
     for i, j, w in g.edges():
         assert w <= min(len(liked[g.nodes[i]]), len(liked[g.nodes[j]]))

@@ -382,6 +382,15 @@ def test_labels_refuse_an_empty_page_or_label(row, reason):
     assert (exc.value.line_no, exc.value.reason) == (3, reason)
 
 
+@pytest.mark.parametrize("text, line_no", [("p1,pro\npage_id,label\n", 2),
+                                           ("page_id,label\np1,pro\npage_id,label\np2,anti\n", 3)])
+def test_labels_refuse_a_repeated_header(text, line_no):
+    """Two label files joined with cat: the second header is no page labelled ``label``."""
+    with pytest.raises(ParseError) as exc:
+        read_labels(text)
+    assert (exc.value.line_no, exc.value.reason) == (line_no, "repeated header")
+
+
 # --- JSONL parse: the fast reader against the per-line path --------------------
 
 def is_canonical(line: str) -> bool:
@@ -502,8 +511,9 @@ def test_file_line_ends_and_a_long_line_match_per_line(tmp_path):
 
 
 def test_a_stream_ending_lines_at_a_lone_cr_matches_per_line():
-    """Within a block, lines end at "\n" only, also where the stream's readlines
-    ends one at a lone "\r" (a stream opened with newline=""): no line is lost."""
+    """Lines end at "\n" only, also where the stream's readlines ends one at a
+    lone "\r" (a stream opened with newline=""): no line is lost, and a block
+    reads on to the next "\n", so every block size reads the same."""
     reordered = json.dumps({"ts": "2014-03-01T00:00:00Z", **json.loads(ONE_LINE)})
     text = "\n".join([ONE_LINE + "\r" + reordered, reordered + "\r" + ONE_LINE, ONE_LINE,
                       reordered, ONE_LINE + "\r"]) + "\n"
@@ -513,6 +523,9 @@ def test_a_stream_ending_lines_at_a_lone_cr_matches_per_line():
     with pytest.raises(ParseError) as exc:
         parse_records(io.StringIO(text, newline=""))
     assert exc.value.line_no == 1 and "Extra data" in exc.value.reason
+    for case in (text, ONE_LINE + "\r" + ONE_LINE.replace("u1", "u2") + "\n",
+                 "not json\r" + ONE_LINE + "\n\r\n" + ONE_LINE + "\r\r" + ONE_LINE + "\r\n"):
+        assert_same_as_per_line(case, partial(io.StringIO, case, newline=""))
 
 
 def test_invalid_json_beyond_json_decode_error_is_a_parse_error():
@@ -792,9 +805,14 @@ def test_csv_and_labels_header_is_the_first_non_blank_row(lead):
     assert read_labels(f"{lead}page_id,label\np1,pro\n") == {"p1": "pro"}
     d = parse_records(f"{lead}{','.join(ingest.CSV_HEADER)}\n{CSV_ROW}\n", format="csv")
     assert [r.user for r in d.records] == ["u1"] and d.skipped_lines == 0
-    with pytest.raises(ParseError) as exc:  # a header after the first row is a row
+    with pytest.raises(ParseError) as exc:  # a header after the first row is refused
         read_labels(f"{lead}p1,pro\n page_id , label \npage_id,pro\n")
-    assert exc.value.reason == "conflicting label for page 'page_id'"
+    assert (exc.value.line_no, exc.value.reason) == (lead.count("\n") + 2, "repeated header")
+    text = f"{lead}{CSV_ROW}\n user , page,post,action,ts \n{CSV_ROW}\n"
+    with pytest.raises(ParseError) as exc:  # record files share the rule
+        parse_records(text, format="csv")
+    assert (exc.value.line_no, exc.value.reason) == (lead.count("\n") + 2, "repeated header")
+    assert parse_records(text, format="csv", strict=False).skipped_lines == 1
 
 
 @pytest.mark.parametrize("text", ["\ufeffpage_id,label\np1,pro\n", "\ufeffp1,pro\np2,anti\n",
@@ -821,6 +839,7 @@ def csv_reference(text: str, strict: bool):
 
     Rows are numbered by their first line; blank rows are passed over, and the
     first non-blank row is the header if its cells, stripped, are CSV_HEADER.
+    A later row whose cells, stripped, are CSV_HEADER is a repeated header.
     """
     reader = csv.reader(io.StringIO(text))
     rows, line_no = [], 1  # (first line, cells or the csv module's error)
@@ -840,8 +859,10 @@ def csv_reference(text: str, strict: bool):
             row = "invalid UTF-8"
         elif i == 0 and isinstance(row, list) and row[0].startswith("\ufeff"):
             row = "unexpected UTF-8 BOM"
-        elif i == 0 and isinstance(row, list) and [c.strip() for c in row] == ingest.CSV_HEADER:
-            continue
+        elif isinstance(row, list) and [c.strip() for c in row] == ingest.CSV_HEADER:
+            if i == 0:
+                continue
+            row = "repeated header"
         try:
             if isinstance(row, str):
                 raise ParseError(line_no, row)
