@@ -240,31 +240,31 @@ def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
                           draws: int = 100) -> dict:
     """Rand-index matrix of {random, labeled, fastgreedy} against all algorithms.
 
-    One sub-table per action kind with at least one record; a missing kind is
-    omitted with a warning. The random row averages ``draws`` uniform
-    partitions into as many communities as the label map uses, drawn once per
-    action kind and added to every algorithm's sum as it is drawn.
+    One sub-table per action kind whose page graph has positive total weight;
+    a kind with no records, or whose users each act on one page, is omitted
+    with a warning. The random row averages ``draws`` uniform partitions into
+    as many communities as the label map uses, drawn once per action kind and
+    added to every algorithm's sum as it is drawn.
     """
     check_count("draws", draws, 1)
     result: dict[str, dict[str, dict[str, float]]] = {}
     for kind in ENGAGEMENT_ACTIONS:
-        table = _validation_table(d, kind, labels, seed, draws)
-        if table is None:
-            warnings.warn(f"no {kind} records; sub-table omitted")
-        else:
+        if (table := _validation_table(d, kind, labels, seed, draws)) is not None:
             result[kind + "s"] = table
     return result
 
 
 def _validation_table(d: Dataset, kind: str, labels: dict[str, str], seed: int,
                       draws: int) -> dict[str, dict[str, float]] | None:
-    """One action kind's sub-table, or None if the kind has no records. Its
-    graphs and partitions are released on return, before the next kind's."""
+    """One action kind's sub-table, or None with a warning if its graph has no weight.
+    Its graphs and partitions are released on return, before the next kind's."""
     b = build_bipartite(d, kind)
-    if b.n_edges == 0:
-        return None
-    g = project(b)
+    g = project(b) if b.n_edges else None
     del b
+    if g is None or g.total_weight == 0:
+        why = f"no {kind} records" if g is None else f"{kind} graph has zero total weight"
+        warnings.warn(f"{why}; sub-table omitted")
+        return None
     parts = {algo: ALGORITHMS[algo](g, derived_seed(seed, "validate", kind, algo))[0]
              for algo in ALGORITHMS}
     labeled_nodes = [n for n in g.nodes if n in labels]
@@ -291,13 +291,10 @@ def _validation_table(d: Dataset, kind: str, labels: dict[str, str], seed: int,
 
 
 def validation_matrix_csv(matrix: dict) -> str:
+    """The matrix's rows in the order ``run_validation_matrix`` built them."""
     cols = list(ALGORITHMS)
-    rows = []
-    for kind in ("likes", "comments"):
-        if kind not in matrix:
-            continue
-        for row_name in ("random", "labeled", "fastgreedy"):
-            rows.append([kind, row_name] + [matrix[kind][row_name][c] for c in cols])
+    rows = [[kind, row] + [scores[c] for c in cols]
+            for kind, table in matrix.items() for row, scores in table.items()]
     return csv_text(["graph", "communities"] + cols, rows)
 
 

@@ -82,11 +82,11 @@ class _Agglomeration:
         self.g = g
         self.m = float(g.total_weight)
         self.node = np.array(sorted(range(n), key=g.nodes.__getitem__), dtype=np.intp)
-        slot = np.empty(n, dtype=np.intp)
-        slot[self.node] = np.arange(n)
+        self.slot = np.empty(n, dtype=np.intp)
+        self.slot[self.node] = np.arange(n)
         self.rows = max(1, (1 << 16) // n)  # rows per block: no temporary passes 512 KB
         self.B = np.zeros((n, n), np.int32 if g.total_weight < 2**31 else np.int64)
-        self.B[slot[g.src], slot[g.dst]] = g.weights
+        self.B[self.slot[g.src], self.slot[g.dst]] = g.weights
         self.S = np.full((n, n), np.inf)  # the detector scores each adjacent pair
         self.size = np.ones(n)
         self.strength = g.strengths[self.node].astype(float)
@@ -108,7 +108,7 @@ class _Agglomeration:
         the maximum-modularity cut and the dendrogram, scored by ``modularity``.
         """
         n, B, S, size, strength = self.g.n_nodes, self.B, self.S, self.size, self.strength
-        bs, bp, m, two_m2 = self.bs, self.bp, self.m, 2.0 * self.m ** 2
+        bs, bp = self.bs, self.bp
         self._refresh(np.arange(n))
         ids = self.node.tolist()  # slot -> community id
         q = best_q = self.q
@@ -117,7 +117,7 @@ class _Agglomeration:
             rb = int(bp[ra])
             # two leaves in ascending order, else the newer community first
             a, b = sorted((ids[ra], ids[rb]), reverse=max(ids[ra], ids[rb]) >= n)
-            q += float(B[ra, rb]) / m - float(strength[ra]) * float(strength[rb]) / two_m2
+            q += float(self.gain(strength[ra], strength[rb], B[ra, rb]))
             self.merges.append((a, b, q))
             if q >= best_q:  # ties prefer the later (merged) cut
                 best_q, best_step = q, len(self.merges)
@@ -139,14 +139,15 @@ class _Agglomeration:
         part = self._partition_at(best_step)
         return part, Dendrogram(tuple(self.merges), n, best_step, modularity(self.g, part))
 
+    def gain(self, sa, sc, w):
+        """Modularity gain of a merge: weight w joins strengths sa and sc (Clauset et al. 2004)."""
+        return w / self.m - sa * sc / (2.0 * self.m ** 2)
+
     def pairs(self):
-        """Every adjacent slot pair i < j, in chunks of at most ``rows`` pairs."""
-        for k in range(0, len(self.B), self.rows):
-            i, j = self.B[k:k + self.rows].nonzero()
-            i += k
-            i, j = i[i < j], j[i < j]
-            for h in range(0, len(i), self.rows):
-                yield i[h:h + self.rows], j[h:h + self.rows]
+        """Each adjacent slot pair once, from the arcs src < dst, in blocks of ``rows``."""
+        up = np.flatnonzero(self.g.src < self.g.dst)
+        for arcs in np.split(up, range(self.rows, len(up), self.rows)):
+            yield self.slot[self.g.src[arcs]], self.slot[self.g.dst[arcs]]
 
     def _refresh(self, rows) -> None:
         """Recompute the best (score, partner) of ``rows`` from ``S``, in row blocks."""
@@ -165,10 +166,10 @@ class _Agglomeration:
         return Partition.from_labels(self.g.nodes, label[:n])
 
 
-def _require_weight(g: ProjectionGraph) -> None:
+def _require(g: ProjectionGraph, weight: bool = True) -> None:
     if g.n_nodes == 0:
         raise ValueError("graph is empty")
-    if g.total_weight <= 0:
+    if weight and g.total_weight <= 0:
         raise ValueError("graph has zero total weight")
 
 
@@ -184,15 +185,14 @@ def fastgreedy(g: ProjectionGraph) -> tuple[Partition, Dendrogram]:
     of weights (int64 once the total weight reaches 2**31), 12·n² bytes in
     all: 75 MB at 2,500 pages, 1.2 GB at 10,000.
     """
-    _require_weight(g)
+    _require(g)
     agg = _Agglomeration(g)
-    B, S, strength = agg.B, agg.S, agg.strength
-    m, two_m2 = agg.m, 2.0 * agg.m ** 2
-    for i, j in agg.pairs():  # -delta_q, term for term
-        S[i, j] = S[j, i] = -(B[i, j] / m - strength[i] * strength[j] / two_m2)
+    B, S, strength, gain = agg.B, agg.S, agg.strength, agg.gain
+    for i, j in agg.pairs():  # -delta_q
+        S[i, j] = S[j, i] = -gain(strength[i], strength[j], B[i, j])
 
     def rescore(ra: int, rb: int, cs, w, _s) -> np.ndarray:
-        return -(w / m - (strength[ra] + strength[rb]) * strength[cs] / two_m2)
+        return -gain(strength[ra] + strength[rb], strength[cs], w)
 
     return agg.run(rescore)
 
@@ -230,7 +230,7 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
     ``ProjectionGraph`` (inside weights carried as self-loops). Every weight
     and strength is an exact integer.
     """
-    _require_weight(g)
+    _require(g)
     rng = random.Random(seed)
     two_m = 2.0 * g.total_weight
     level, loops = g, np.zeros(g.n_nodes, np.int64)  # each node's self-loop weight
@@ -244,11 +244,8 @@ def louvain(g: ProjectionGraph, seed: int = 0) -> Partition:
         def pick(v: int, w_to: dict[int, int]) -> int:
             cv, s = com[v], strength[v]
             com_tot[cv] -= s
-            best_c, best_gain = cv, w_to[cv] - com_tot[cv] * s / two_m
-            for c in sorted(w_to):  # at c == cv the gain is best_gain again, which > keeps
-                gain = w_to[c] - com_tot[c] * s / two_m
-                if gain > best_gain:
-                    best_gain, best_c = gain, c
+            # max keeps the first largest gain: cv's on a tie, else the lowest id's
+            best_c = max([cv, *sorted(w_to)], key=lambda c: w_to[c] - com_tot[c] * s / two_m)
             com_tot[best_c] += s
             return best_c
 
@@ -323,7 +320,7 @@ def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
-    _require_weight(g)
+    _require(g)
     n = g.n_nodes
     s = g.strengths.astype(float)
     Pt = _matrix_power(_transition_matrix(g, s), steps)
@@ -374,8 +371,7 @@ def label_propagation(g: ProjectionGraph, seed: int = 0) -> Partition:
     one of its weighted-majority labels; after 1,000 sweeps the current labels
     are returned and the result flagged.
     """
-    if g.n_nodes == 0:
-        raise ValueError("graph is empty")
+    _require(g, weight=False)
     rng = random.Random(seed)
     labels, flags = list(range(g.n_nodes)), ()
 

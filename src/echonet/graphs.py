@@ -63,10 +63,7 @@ class Partition:
         return sorted(self.communities(), key=lambda c: (-len(c), min(c)))
 
     def sizes(self) -> list[int]:
-        counts = [0] * self.n_communities
-        for lab in self.labels:
-            counts[lab] += 1
-        return counts
+        return [len(c) for c in self.communities()]
 
     def to_csv(self) -> str:
         return csv_text(["page_id", "community"], sorted(zip(self.nodes, self.labels)))

@@ -128,6 +128,21 @@ def test_validate_matrix_shape_and_self_cell(corpus):
         assert all(0.0 <= float(v) <= 1.0 for v in r[2:])
 
 
+def test_validate_omits_a_kind_whose_graph_has_no_weight(tmp_path):
+    # no user comments on more than one of the 4 pages, so the comment graph has no
+    # edge, while one user likes two pages
+    common = ["--out-dir", tmp_path]
+    run("synth", *common, "--users", "3,3", "--pages", "2,2", "--actions", "fixed:3",
+        "--posts-per-page", "10", "--out", "d.jsonl", "--truth", "l.csv")
+    with pytest.warns(UserWarning) as caught:
+        run("validate", *common, "--in", "d.jsonl", "--labels", "l.csv", "--out", "t.csv")
+    assert [str(w.message) for w in caught] == [
+        "comment graph has zero total weight; sub-table omitted"]
+    rows = read_csv(tmp_path / "t.csv")
+    assert [r[:2] for r in rows[1:]] == [
+        ["likes", "random"], ["likes", "labeled"], ["likes", "fastgreedy"]]
+
+
 def test_polarize_density_and_profiles(corpus):
     run("polarize", "--out-dir", corpus, "--in", "data.jsonl",
         "--labels", "labels.csv", "--min-actions", "5", "--bins", "21",

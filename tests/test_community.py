@@ -639,6 +639,93 @@ def test_merge_scores_are_pinned(name, monkeypatch):
     assert merge_score_digest(name, pinned_graphs(), monkeypatch) == PINNED_MERGE_SCORES[name]
 
 
+# ------------------------------------------------------- merge loop seeding
+
+
+def dense_scan_pairs(agg):
+    """The adjacent slot pairs i < j found by scanning the weight array ``B``
+    row block by row block: the reference for ``_Agglomeration.pairs``."""
+    for k in range(0, len(agg.B), agg.rows):
+        i, j = agg.B[k:k + agg.rows].nonzero()
+        i += k
+        i, j = i[i < j], j[i < j]
+        for h in range(0, len(i), agg.rows):
+            yield i[h:h + agg.rows], j[h:h + agg.rows]
+
+
+def shuffled_name_graphs():
+    """Seeded random graphs whose node names sort in another order than their
+    ids, so a node's merge-loop slot differs from its id; the larger ones
+    need several blocks of pairs."""
+    graphs = []
+    for seed in range(8):
+        rng = random.Random(500 + seed)
+        n = rng.choice([5, 40, 150, 400])
+        names = [f"q{k:04d}" for k in rng.sample(range(10_000), n)]
+        p = rng.choice([0.05, 0.3, 0.9])
+        edges = [(i, j, rng.randint(1, 9)) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p]
+        graphs.append(ProjectionGraph(names, edges or [(0, 1, 1)]))
+    return graphs
+
+
+def seeding_graphs():
+    return pinned_graphs() + shuffled_name_graphs()
+
+
+def test_pairs_from_the_arcs_match_the_dense_scan():
+    blocked = moved = 0
+    for g in seeding_graphs():
+        agg = community._Agglomeration(g)
+        moved += not np.array_equal(agg.slot, np.arange(g.n_nodes))
+        got = [(int(a), int(b)) for i, j in agg.pairs()
+               for a, b in zip(np.minimum(i, j), np.maximum(i, j))]
+        expected = {(int(a), int(b)) for i, j in dense_scan_pairs(agg) for a, b in zip(i, j)}
+        assert len(got) == len(set(got)) == g.n_edges
+        assert set(got) == expected
+        assert all(len(i) <= agg.rows for i, _j in agg.pairs())
+        blocked += g.n_edges > agg.rows
+    assert moved >= len(shuffled_name_graphs()) and blocked > 0
+
+
+def reference_seeding(g, name):
+    """The scores of every adjacent slot pair before the first merge, written
+    out from the dense-scan pairs: fastgreedy's -delta_q and walktrap's Ward
+    distance between singletons."""
+    agg = community._Agglomeration(g)
+    S, strength, node, n = np.full((g.n_nodes,) * 2, np.inf), agg.strength, agg.node, g.n_nodes
+    m, two_m2 = agg.m, 2.0 * agg.m ** 2
+    if name != "fastgreedy":
+        s = g.strengths.astype(float)
+        steps = int(name.removeprefix("walktrap"))
+        Pt = community._matrix_power(community._transition_matrix(g, s), steps)
+        inv_d = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    for i, j in dense_scan_pairs(agg):
+        if name == "fastgreedy":
+            S[i, j] = S[j, i] = -(agg.B[i, j] / m - strength[i] * strength[j] / two_m2)
+        else:
+            sq = (Pt[node[i]] - Pt[node[j]]) ** 2
+            S[i, j] = S[j, i] = 1.0 * 1.0 / (1.0 + 1.0) / n * np.vecdot(sq, inv_d)
+    return S
+
+
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+def test_merge_loop_starts_from_the_reference_scores(name, monkeypatch):
+    run, started = community._Agglomeration.run, []
+
+    def capture(self, *args):
+        started.append(self.S.copy())
+        return run(self, *args)
+
+    monkeypatch.setattr(community._Agglomeration, "run", capture)
+    graphs = seeding_graphs()
+    for g in graphs:
+        DETECTORS[name](g)
+    assert len(started) == len(graphs)
+    for g, S in zip(graphs, started):
+        assert np.array_equal(S.view(np.int64), reference_seeding(g, name).view(np.int64))
+
+
 def test_no_detector_writes_to_its_graph():
     arrays = ("src", "dst", "weights", "strengths")
     for g in pinned_graphs():
