@@ -21,13 +21,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .community import ALGORITHMS, derived_seed, fastgreedy
+from .community import ALGORITHMS, DEFAULT_STEPS, derived_seed, fastgreedy
 from .compare import rand_index, random_partition
 from .graphs import Partition, build_bipartite, project
 from .ingest import (
     DEFAULT_MIN_POSTS,
     DEFAULT_RANGE,
     ENGAGEMENT_ACTIONS,
+    FORMATS,
     Dataset,
     csv_text,
     dataset_summary,
@@ -42,6 +43,7 @@ from .metrics import (
     DEFAULT_MIN_ACTIONS,
     DEFAULT_SPAN,
     MAX_COUNT,
+    WINDOWS,
     check_count,
     check_span,
     loess_fit,
@@ -63,6 +65,7 @@ from .temporal import (
 from .timebins import parse_quarter, quarter_label
 
 DV_ACTION = {"posts": "post", "likes": "like", "comments": "comment"}
+DEFAULT_DRAWS = 100  # random partitions averaged in the validation matrix's random row
 
 
 def _sha256(path: Path) -> str:
@@ -138,7 +141,7 @@ def _run(args) -> None:
     if hasattr(args, "infile"):
         inputs.append(_out_path(args, args.infile))
         with open(inputs[-1], encoding="utf-8", errors="surrogateescape") as fh:
-            d = parse_records(fh, format=getattr(args, "format", "jsonl"),
+            d = parse_records(fh, format=getattr(args, "format", FORMATS[0]),
                               strict=getattr(args, "strict", True))
         if d.skipped_lines:
             print(f"warning: skipped {d.skipped_lines} malformed lines", file=sys.stderr)
@@ -237,14 +240,14 @@ def cmd_detect(args, d: Dataset) -> list[tuple[str, str]]:
 
 
 def run_validation_matrix(d: Dataset, labels: dict[str, str], seed: int,
-                          draws: int = 100) -> dict:
+                          draws: int = DEFAULT_DRAWS) -> dict:
     """Rand-index matrix of {random, labeled, fastgreedy} against all algorithms.
 
     One sub-table per action kind whose page graph has positive total weight;
     a kind with no records, or whose users each act on one page, is omitted
     with a warning. The random row averages ``draws`` uniform partitions into
-    as many communities as the label map uses, drawn once per action kind and
-    added to every algorithm's sum as it is drawn.
+    as many communities as the labeled row has (at least 2), drawn once per
+    action kind and added to every algorithm's sum as it is drawn.
     """
     check_count("draws", draws, 1)
     result: dict[str, dict[str, dict[str, float]]] = {}
@@ -275,7 +278,7 @@ def _validation_table(d: Dataset, kind: str, labels: dict[str, str], seed: int,
                       "labeled row restricted to labeled pages")
     labeled = Partition.from_mapping(labels, labeled_nodes)
 
-    k = max(len(set(labels.values())), 2)
+    k = max(labeled.n_communities, 2)
     sums = dict.fromkeys(parts, 0.0)
     for i in range(draws):
         rp = random_partition(g.nodes, k, derived_seed(seed, "validate", kind, "random", i))
@@ -303,16 +306,12 @@ def cmd_validate(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, st
     return [(args.out, validation_matrix_csv(matrix))]
 
 
-def _side_map(args, d: Dataset, labels: dict[str, str]) -> dict[str, str]:
-    if args.sides == "labels":
-        return labels
-    g = project(build_bipartite(d, args.action))
-    part, _ = fastgreedy(g)
-    return two_largest_sides(part)
-
-
 def cmd_polarize(args, d: Dataset, labels: dict[str, str]) -> list[tuple[str, str]]:
-    sides = _side_map(args, d, labels)
+    sides = labels
+    if args.sides == "detected":
+        g = project(build_bipartite(d, args.action))
+        part, _ = fastgreedy(g)
+        sides = two_largest_sides(part)
     profiles = user_polarization(d, sides, action=args.action,
                                  min_actions=args.min_actions)
     hist = polarization_histogram(profiles, bins=args.bins)
@@ -443,14 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = re.compile(r"^-[\d.][\d.,-]*$")
     p.add_argument("--users", default="5000,5000", metavar="PRO,ANTI",
                    help=f"users per side (at most {USERS_CAP} each)")
-    p.add_argument("--pages", default="145,98", metavar="PRO,ANTI",
+    p.add_argument("--pages", default="%d,%d" % SynthConfig.pages_per_side, metavar="PRO,ANTI",
                    help=f"pages per side (at most {PAGES_CAP} each)")
-    p.add_argument("--p-out", dest="p_out", type=float, default=0.02)
-    p.add_argument("--actions", default="lognormal:2,1",
+    p.add_argument("--p-out", dest="p_out", type=float, default=SynthConfig.p_out)
+    kind, *params = SynthConfig.actions_per_user  # text: the manifest records it as given
+    p.add_argument("--actions", default=f"{kind}:" + ",".join(f"{v:g}" for v in params),
                    help=f"fixed:N (N at most {ACTIVITY_CAP}) or lognormal:MU,SIGMA "
                    "per-user action count")
-    p.add_argument("--comment-fraction", type=float, default=0.2)
-    p.add_argument("--posts-per-page", type=int, default=50,
+    p.add_argument("--comment-fraction", type=float, default=SynthConfig.comment_fraction)
+    p.add_argument("--posts-per-page", type=int, default=SynthConfig.posts_per_page,
                    help=f"posts per page (at most {POSTS_CAP})")
     p.add_argument("--pro-blocks", default=None, metavar="N1,N2,...",
                    help="user-disjoint page blocks on the pro side")
@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ingest", cmd_ingest, infile, dates,
             help="parse, filter and canonicalize an interaction log")
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
+    p.add_argument("--format", choices=FORMATS, default=FORMATS[0])
     p.add_argument("--min-posts", type=int, default=DEFAULT_MIN_POSTS)
     strictness = p.add_mutually_exclusive_group()
     strictness.add_argument("--strict", dest="strict", action="store_true",
@@ -472,12 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("detect", cmd_detect, infile, action, help="community detection")
     p.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="fastgreedy")
-    p.add_argument("--steps", type=int, default=4, help="walk length for walktrap")
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="walk length for walktrap")
     p.add_argument("--dendrogram", default=None)
 
     p = add("validate", cmd_validate, infile, labels,
             help="partition-similarity validation matrix")
-    p.add_argument("--draws", type=int, default=100,
+    p.add_argument("--draws", type=int, default=DEFAULT_DRAWS,
                    help=f"random partitions averaged in the random row (1..{MAX_COUNT})")
 
     p = add("polarize", cmd_polarize, infile, labels, action,
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("exposure", cmd_exposure, infile, labels,
             help="selective-exposure curves with 95%% confidence bands")
-    p.add_argument("--window", choices=("year", "month", "week"), default="week")
+    p.add_argument("--window", choices=WINDOWS, default="week")
     p.add_argument("--span", type=float, default=DEFAULT_SPAN)
     p.add_argument("--eval-points", type=int, default=25,
                    help=f"grid points per fitted curve (1..{MAX_COUNT})")

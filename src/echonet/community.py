@@ -22,6 +22,7 @@ from .graphs import Partition, ProjectionGraph
 from .ingest import csv_text
 
 MAX_LP_SWEEPS = 1000
+DEFAULT_STEPS = 4  # walktrap's walk length (Pons & Latapy 2005)
 
 
 class ConvergenceWarning(UserWarning):
@@ -297,7 +298,7 @@ def _matrix_power(a: np.ndarray, steps: int) -> np.ndarray:
     return result
 
 
-def walktrap(g: ProjectionGraph, steps: int = 4) -> tuple[Partition, Dendrogram]:
+def walktrap(g: ProjectionGraph, steps: int = DEFAULT_STEPS) -> tuple[Partition, Dendrogram]:
     """Random-walk agglomeration.
 
     Each node gets the probability vector of a ``steps``-length random walk
@@ -395,10 +396,10 @@ def derived_seed(seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big") >> 1
 
 
-# name -> (g, seed, steps=4) -> (partition, dendrogram or None); names resolve per call
+# name -> (g, seed, steps=DEFAULT_STEPS) -> (partition, dendrogram or None), resolved per call
 ALGORITHMS = {
-    "fastgreedy": lambda g, seed, steps=4: fastgreedy(g),
-    "walktrap": lambda g, seed, steps=4: walktrap(g, steps),
-    "multilevel": lambda g, seed, steps=4: (louvain(g, seed), None),
-    "labelprop": lambda g, seed, steps=4: (label_propagation(g, seed), None),
+    "fastgreedy": lambda g, seed, steps=DEFAULT_STEPS: fastgreedy(g),
+    "walktrap": lambda g, seed, steps=DEFAULT_STEPS: walktrap(g, steps),
+    "multilevel": lambda g, seed, steps=DEFAULT_STEPS: (louvain(g, seed), None),
+    "labelprop": lambda g, seed, steps=DEFAULT_STEPS: (label_propagation(g, seed), None),
 }

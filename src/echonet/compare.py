@@ -14,10 +14,6 @@ class DegenerateDataWarning(UserWarning):
     """Emitted when a measure is defined only by convention on the input."""
 
 
-def _comb2(n: int) -> int:
-    return n * (n - 1) // 2
-
-
 def rand_index(p: Partition, q: Partition) -> float:
     """Fraction of node pairs on which two partitions agree.
 
@@ -39,9 +35,8 @@ def rand_index(p: Partition, q: Partition) -> float:
         raise ValueError("rand index needs at least 2 nodes")
     a, b = np.array(p.labels, dtype=np.int64), np.array(b, dtype=np.int64)
     cells = np.unique(a * q.n_communities + b, return_counts=True)[1]
-    sum_cells, sum_rows, sum_cols = (int((c * (c - 1) // 2).sum())
-                                     for c in (cells, np.bincount(a), np.bincount(b)))
-    total = _comb2(n)
+    sum_cells, sum_rows, sum_cols, total = (int((c * (c - 1) // 2).sum()) for c in (
+        cells, np.bincount(a), np.bincount(b), np.array([n])))
     agreements = total + 2 * sum_cells - sum_rows - sum_cols
     return agreements / total
 

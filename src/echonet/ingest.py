@@ -40,6 +40,7 @@ DEFAULT_MIN_POSTS = 10
 DEFAULT_RANGE = (date(2010, 1, 1), date(2017, 5, 31))
 
 CSV_HEADER = ["user", "page", "post", "action", "ts"]
+FORMATS = ("jsonl", "csv")  # the interaction-log formats parse_records and serialize_records take
 LABELS = ("pro", "anti")  # the two sides: summary rows and synth's planted labels
 
 
@@ -225,7 +226,7 @@ def parse_records(stream, format: str = "jsonl", strict: bool = True) -> Dataset
         if isinstance(stream, bytes):
             stream = stream.decode("utf-8", "surrogateescape")
         stream = io.StringIO(stream)
-    if format not in ("jsonl", "csv"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
 
     columns, skipped, line_no = _Columns(), 0, 1
@@ -371,7 +372,7 @@ def serialize_records(d: Dataset, format: str = "jsonl") -> str:
     built from each distinct string escaped once. Raises ValueError for a
     timestamp outside the years 1000-9999.
     """
-    if format not in ("jsonl", "csv"):
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
     d = d.take(_canonical(d))
     stamps = format_timestamps(d.ts)

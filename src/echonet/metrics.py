@@ -24,6 +24,7 @@ DEFAULT_MIN_ACTIONS = 10
 DEFAULT_BINS = 21
 DEFAULT_SPAN = 0.75
 MAX_COUNT = 10_000  # bins, grid points or random draws: each costs time or memory
+WINDOWS = ("year", "month", "week")  # the calendar windows pages_per_window counts over
 
 
 def check_count(name: str, value: int, least: int) -> None:
@@ -148,8 +149,8 @@ def user_engagement(d: Dataset, sides: dict[str, str]) -> list[UserEngagement]:
 def pages_per_window(d: Dataset, window: str) -> dict[str, int]:
     """Max distinct pages liked per window (calendar year, month or ISO week)
     for each user with a like."""
-    if window not in ("month", "week", "year"):
-        raise ValueError(f"window must be one of ['month', 'week', 'year'], got {window!r}")
+    if window not in WINDOWS:
+        raise ValueError(f"window must be one of {sorted(WINDOWS)}, got {window!r}")
     rows = np.flatnonzero(d.action == ACTION_CODES["like"])
     windows = calendar_bins(d.ts[rows], window)
     windows -= windows.min(initial=0)  # bins before 1970 are negative

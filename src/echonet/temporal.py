@@ -111,9 +111,11 @@ def cohesion_series(d: Dataset, labels: dict[str, str], action: str = "like",
     emitted degenerate (largest = total) and flagged. With ``cumulative`` the
     graph accumulates all actions up to the quarter.
     """
-    for algo in algorithms:
+    for i, algo in enumerate(algorithms):
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
+        if algo in algorithms[:i]:
+            raise ValueError(f"algorithm {algo!r} named twice")
     rows, side, communities = d.on_sides(action, labels)
     quarter, span = _quarters(d, rows)
     shape = (len(communities) * len(span), len(d.user_table), len(d.page_table))

@@ -16,7 +16,9 @@ import pytest
 import echonet
 from echonet import cli, ingest
 from echonet.cli import main
-from echonet.ingest import serialize_records
+from echonet.community import derived_seed, walktrap
+from echonet.graphs import build_bipartite, project
+from echonet.ingest import parse_records, serialize_records
 from echonet.synth import PAGES_CAP, POSTS_CAP, USERS_CAP, SynthConfig, generate
 
 
@@ -59,6 +61,14 @@ def test_synth_rerun_is_byte_identical(corpus, tmp_path):
         "--out", "data.jsonl", "--truth", "labels.csv")
     assert (other / "data.jsonl").read_bytes() == (corpus / "data.jsonl").read_bytes()
     assert (other / "labels.csv").read_bytes() == (corpus / "labels.csv").read_bytes()
+
+
+def test_synth_defaults_are_the_library_defaults(tmp_path):
+    run("synth", "--out-dir", tmp_path, "--users", "20,20", "--out", "d.jsonl",
+        "--truth", "l.csv")
+    config = SynthConfig(users_per_side=(20, 20), seed=derived_seed(0, "synth"))
+    expected = serialize_records(generate(config)[0])
+    assert (tmp_path / "d.jsonl").read_text() == expected
 
 
 def test_ingest_canonicalizes_and_filters(corpus):
@@ -143,6 +153,20 @@ def test_validate_omits_a_kind_whose_graph_has_no_weight(tmp_path):
         ["likes", "random"], ["likes", "labeled"], ["likes", "fastgreedy"]]
 
 
+def test_validate_draws_as_many_communities_as_the_labeled_row(tmp_path):
+    # the label map names a third label on a page the corpus lacks, as after ingest
+    # drops a page below the post floor; the random row draws 2 communities, not 3
+    common = ["--out-dir", tmp_path]
+    run("synth", *common, "--users", "20,20", "--pages", "1,1", "--p-out", "0.3",
+        "--actions", "fixed:10", "--posts-per-page", "10", "--out", "d.jsonl", "--truth", "l.csv")
+    (tmp_path / "l4.csv").write_text("pro_p0000,pro\nanti_p0000,anti\nghost_page,neutral\n")
+    run("validate", *common, "--in", "d.jsonl", "--labels", "l4.csv", "--draws", "20",
+        "--out", "t4.csv")
+    run("validate", *common, "--in", "d.jsonl", "--labels", "l.csv", "--draws", "20",
+        "--out", "t.csv")
+    assert (tmp_path / "t4.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+
 def test_polarize_density_and_profiles(corpus):
     run("polarize", "--out-dir", corpus, "--in", "data.jsonl",
         "--labels", "labels.csv", "--min-actions", "5", "--bins", "21",
@@ -196,6 +220,17 @@ def test_cohesion_series(corpus):
         assert int(r[3]) <= int(r[4])
 
 
+def test_cohesion_refuses_a_repeated_algorithm(corpus, capsys):
+    capsys.readouterr()
+    rc = main(["cohesion", "--out-dir", str(corpus), "--in", "data.jsonl",
+               "--labels", "labels.csv", "--algorithms", "fastgreedy,fastgreedy",
+               "--out", "cohesion.csv"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: algorithm 'fastgreedy' named twice"]
+    assert not (corpus / "cohesion.csv").exists()
+
+
 def test_anova_univariate_and_manova(corpus):
     run("anova", "--out-dir", corpus, "--in", "data.jsonl",
         "--labels", "labels.csv", "--dv", "comments", "--split", "2013Q4",
@@ -212,6 +247,14 @@ def test_anova_univariate_and_manova(corpus):
     rows = read_csv(corpus / "manova.csv")
     assert [r[0] for r in rows[1:]] == ["interaction"]
     assert (int(rows[1][2]), int(rows[1][3])) == (2, 16 - 5)
+
+
+def test_detect_walks_the_library_default_length(corpus):
+    run("detect", "--out-dir", corpus, "--in", "data.jsonl", "--algorithm", "walktrap",
+        "--out", "wt.csv")
+    with open(corpus / "data.jsonl") as fh:
+        g = project(build_bipartite(parse_records(fh), "like"))
+    assert (corpus / "wt.csv").read_text() == walktrap(g)[0].to_csv()
 
 
 def test_detect_dendrogram_without_one_writes_nothing(corpus, capsys):

@@ -176,6 +176,11 @@ def test_cohesion_unknown_algorithm():
         cohesion_series(dataset(), {}, algorithms=("spectral",))
 
 
+def test_cohesion_refuses_a_repeated_algorithm():
+    with pytest.raises(ValueError, match="^algorithm 'fastgreedy' named twice$"):
+        cohesion_series(dataset(), {}, algorithms=("fastgreedy", "walktrap", "fastgreedy"))
+
+
 # ---------------------------------------------------------------------- anova
 
 
